@@ -10,8 +10,8 @@ from .gatesim import (GateReport, PulsedDrive, RamanConfig, calibrate_phase,
 from .phonon import (EnvelopeWavefunction, PhononModel, form_factor,
                      min_separation, model_from_dot, phonon_error,
                      spectral_density)
-from .photonlink import (BellOutcome, LinkBudget, PhotonWavepacket,
-                         bsa_coincidence, dephasing_error, link_attempt_stats,
+from .photonlink import (BellOutcome, LinkBudget, bsa_coincidence,
+                         dephasing_error, link_attempt_stats,
                          photon_efficiency, sample_link_times,
                          wavepacket_overlap_error)
 from .qcore import (DensityMatrix, QuantumState, TimeDependentHamiltonian,

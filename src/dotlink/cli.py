@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -23,10 +24,10 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, derive_rng, load_config
+from .config import ExperimentConfig, config_from_dict, derive_rng, load_config
 from .dotmodel import (addressing_plan, control_precision, dipole_dipole_energy,
                        photon_energies, varshni_shift, varshni_slope)
-from .gatesim import simulate_conditional_gate, raman_gate_error
+from .gatesim import excited_population, raman_gate_error, simulate_conditional_gate
 from .phonon import min_separation, model_from_dot, phonon_error, spectral_density
 from .photonlink import (bsa_coincidence, dephasing_error, link_attempt_stats,
                          overlap_error_small_mismatch, photon_efficiency,
@@ -41,7 +42,7 @@ def _atomic_write(path: str, text: str):
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -57,19 +58,11 @@ def _write_json(outdir: str, name: str, payload: dict) -> str:
 
 
 def _write_csv(outdir: str, name: str, header: list[str], rows) -> str:
-    path = os.path.join(outdir, name)
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _atomic_write(os.path.join(outdir, name), buf.getvalue())
     return name
 
 
@@ -95,17 +88,9 @@ def run_gate(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
     }
     written = [_write_json(outdir, "gate_report.json", payload)]
     if args.trajectories:
-        rows = []
-        for label, weights in (("single", {1: 1.0}), ("double", None)):
-            traj = report.trajectories[label]
-            if weights is None:
-                weights = {i: (2.0 if i == 3 and traj.states[0].dim == 4 else 1.0)
-                           for i in range(1, traj.states[0].dim)}
-            excited = np.zeros(len(traj.times))
-            for idx, w in weights.items():
-                excited += w * traj.populations(idx)
-            rows.extend((label, f"{t:.6f}", f"{p:.9e}")
-                        for t, p in zip(traj.times, excited))
+        rows = [(label, f"{t:.6f}", f"{p:.9e}")
+                for label, traj in report.trajectories.items()
+                for t, p in zip(traj.times, excited_population(traj))]
         written.append(_write_csv(outdir, "gate_trajectories.csv",
                                   ["input", "time_ps", "excited_population"], rows))
     print(f"phi_cond = {report.phi_cond_rad:.6f} rad, "
@@ -144,10 +129,10 @@ def run_phonon(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
 
 
 def run_link(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
-    budget = cfg.link.budget()
+    budget = cfg.link
     t_rad = cfg.dot.t_rad_ps
     stats = link_attempt_stats(budget, t_rad)
-    n = args.trials or 100_000
+    n = 100_000 if args.trials is None else args.trials
     rng = derive_rng(cfg.seed, "link")
     times = sample_link_times(budget, t_rad, n, rng)
     payload = {
@@ -176,7 +161,7 @@ def run_link(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
 
 def run_readout(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
     rcfg = cfg.readout
-    if args.trials:
+    if args.trials is not None:
         rcfg = dataclasses.replace(rcfg, n_shots=args.trials)
     report = simulate_readout(rcfg, derive_rng(cfg.seed, "readout"))
     payload = {
@@ -203,11 +188,11 @@ def run_readout(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
 
 
 def run_repeater(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
-    chain = cfg.chain.chain_config(cfg.link, cfg.dot.t_rad_ps)
-    n_trials = args.trials or cfg.chain.n_trials
-    result = simulate_chain(chain, n_trials=n_trials,
+    n_trials = cfg.chain.n_trials if args.trials is None else args.trials
+    result = simulate_chain(cfg.chain, n_trials=n_trials,
                             seed=derive_rng(cfg.seed, "repeater"),
-                            keep_trials=args.per_trial)
+                            keep_trials=args.per_trial, link=cfg.link,
+                            t_rad_ps=cfg.dot.t_rad_ps)
     payload = {
         "n_links": result.n_links,
         "n_trials": result.n_trials,
@@ -285,6 +270,12 @@ def run_sweep(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
         raise ValueError(f"bad sweep values {args.values!r}") from exc
     if not values:
         raise ValueError("no sweep values given")
+    # each value must load as that config key would: NaN, say, is refused
+    section, key = args.param.split(".")
+    for v in values:
+        raw = cfg.canonical_dict()
+        raw[section][key] = v
+        config_from_dict(raw)
 
     rows = []
     if args.param == "phonon.e_s_mev":
@@ -351,16 +342,19 @@ def main(argv=None) -> int:
     started = datetime.now(timezone.utc).isoformat()
     try:
         cfg = load_config(args.config, args.overrides, args.seed, args.out)
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 
     outdir = cfg.out_dir
-    os.makedirs(outdir, exist_ok=True)
     try:
+        os.makedirs(outdir, exist_ok=True)
         results = RUNNERS[args.subcommand](cfg, outdir, args)
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 1
     except (RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

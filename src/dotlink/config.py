@@ -1,9 +1,12 @@
 """Configuration loading, validation, hashing, and deterministic seeding.
 
-One JSON file holds every knob, grouped into sections that mirror the
-module parameter types.  Unknown keys are rejected so typos fail loudly.
-Dotted command-line overrides (section.key=value) are applied to the raw
-mapping before any validation runs.
+One JSON file holds every knob, grouped into sections.  Each section is the
+dataclass that consumes it, so the field annotations are the schema: the
+loader checks every value's JSON type against its field's annotation, and
+the dataclass's own __post_init__ checks its range.  Unknown keys are
+rejected so typos fail loudly.  Dotted command-line overrides
+(section.key=value) are applied to the raw mapping before any validation
+runs.
 """
 
 from __future__ import annotations
@@ -11,62 +14,22 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+import math
+import sys
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .dotmodel import MATERIAL_PRESETS, DotConfig, MaterialConstants
 from .gatesim import PulsedDrive, RamanConfig
+from .phonon import MAX_QUADRATURE_ORDER
 from .photonlink import LinkBudget
 from .readout import ReadoutConfig
 from .repeater import ChainConfig
 
-
-@dataclass
-class LinkSettings:
-    """LinkBudget knobs plus the emitter mismatch and dephasing inputs."""
-
-    eta_wg: float = 0.95
-    t_switch_ps: float = 100.0
-    eta_det: float = 1.0
-    alpha_db_km: float = 0.0
-    l0_km: float = 20.0
-    c_fiber_km_ms: float = 200.0
-    eta_override: float | None = 0.25
-    delta_e_uev: float = 0.2
-    t_deph_ps: float = 30000.0
-
-    def __post_init__(self):
-        if self.delta_e_uev < 0 or self.t_deph_ps <= 0:
-            raise ValueError("delta_e_uev must be >= 0 and t_deph_ps > 0")
-
-    def budget(self) -> LinkBudget:
-        return LinkBudget(eta_wg=self.eta_wg, t_switch_ps=self.t_switch_ps,
-                          eta_det=self.eta_det, alpha_db_km=self.alpha_db_km,
-                          l0_km=self.l0_km, c_fiber_km_ms=self.c_fiber_km_ms,
-                          eta_override=self.eta_override)
-
-
-@dataclass
-class ChainSettings:
-    n_links: int = 64
-    eps_gate: float = 0.005
-    eps_meas: float = 0.005
-    w0: float | None = None
-    n_trials: int = 2000
-
-    def __post_init__(self):
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be at least 1")
-        # fail at load time, not inside the run
-        if self.n_links < 1 or self.n_links & (self.n_links - 1):
-            raise ValueError("n_links must be a power of two")
-
-    def chain_config(self, link: LinkSettings, t_rad_ps: float) -> ChainConfig:
-        return ChainConfig(n_links=self.n_links, link=link.budget(),
-                           eps_gate=self.eps_gate, eps_meas=self.eps_meas,
-                           w0=self.w0, t_rad_ps=t_rad_ps,
-                           delta_e_uev=link.delta_e_uev)
+# the phonon table evaluates J twice per grid point
+MAX_GRID_POINTS = 10_000
 
 
 @dataclass
@@ -80,17 +43,23 @@ class PhononSettings:
     delta_step_mev: float = 0.25
 
     def __post_init__(self):
+        if not 16 <= self.order <= MAX_QUADRATURE_ORDER:
+            raise ValueError(f"order must be in [16, {MAX_QUADRATURE_ORDER}]")
         if self.e_s_mev <= 0 or self.e_w_mev <= 0:
             raise ValueError("e_s_mev and e_w_mev must be positive")
         if self.error_budget <= 0:
             raise ValueError("error_budget must be positive")
         if not (0 < self.delta_min_mev < self.delta_max_mev) or self.delta_step_mev <= 0:
             raise ValueError("bad spectral-density grid")
+        if (self.delta_max_mev - self.delta_min_mev) / self.delta_step_mev > MAX_GRID_POINTS:
+            raise ValueError(f"spectral-density grid exceeds {MAX_GRID_POINTS} points")
 
 
 @dataclass
 class GateSettings:
-    e_dd_mev: float = 5.0        # negative flips the dipole shift to binding
+    # negative flips the dipole shift to binding; infinity is the perfect
+    # blockade, the one infinite value the loader accepts
+    e_dd_mev: float = field(default=5.0, metadata={"allow_inf": True})
     r_dd_nm: float = 10.0        # dot separation for the dipole-dipole estimate
     tol: float = 1e-9
 
@@ -108,9 +77,9 @@ class ExperimentConfig:
     dot: DotConfig = field(default_factory=DotConfig)
     material: MaterialConstants = field(default_factory=lambda: MATERIAL_PRESETS["GaAs"])
     drive: PulsedDrive = field(default_factory=PulsedDrive)
-    link: LinkSettings = field(default_factory=LinkSettings)
+    link: LinkBudget = field(default_factory=LinkBudget)
     readout: ReadoutConfig = field(default_factory=ReadoutConfig)
-    chain: ChainSettings = field(default_factory=ChainSettings)
+    chain: ChainConfig = field(default_factory=ChainConfig)
     phonon: PhononSettings = field(default_factory=PhononSettings)
     gate: GateSettings = field(default_factory=GateSettings)
     raman: RamanConfig = field(default_factory=RamanConfig)
@@ -127,73 +96,78 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()
 
 
-_SECTIONS = {
-    "dot": DotConfig,
-    "material": MaterialConstants,
-    "drive": PulsedDrive,
-    "link": LinkSettings,
-    "readout": ReadoutConfig,
-    "chain": ChainSettings,
-    "phonon": PhononSettings,
-    "gate": GateSettings,
-    "raman": RamanConfig,
-}
-
-_INT_FIELDS = {"n_links", "n_trials", "n_cycles", "threshold", "n_shots",
-               "order", "seed"}
+# JSON value types each annotated field type accepts (bool never does)
+_JSON_TYPES = {int: (int, float), float: (int, float), str: (str,)}
 
 
-def _coerce(name: str, value, where: str):
-    if isinstance(value, bool):
-        raise ValueError(f"{where}.{name}: boolean not accepted here")
-    if name in _INT_FIELDS:
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError(f"{where}.{name}: expected integer, got {value}")
-        return int(value) if isinstance(value, (int, float)) else value
-    if isinstance(value, list):
-        return tuple(value)
+def _coerce(value, typ, where: str, allow_inf: bool = False):
+    """Check one JSON value against a field annotation and return it.
+
+    Integral floats become ints for int fields; ints stay ints for float
+    fields.  NaN is rejected everywhere, infinity unless allow_inf.
+    """
+    options = typing.get_args(typ)
+    if options:                  # X | None
+        if value is None:
+            return None
+        (typ,) = (t for t in options if t is not type(None))
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[typ]):
+        raise ValueError(f"{where}: expected {typ.__name__}, got {type(value).__name__}")
+    if isinstance(value, float):
+        if math.isnan(value) or (math.isinf(value) and not allow_inf):
+            raise ValueError(f"{where}: expected a finite number, got {value}")
+        if typ is int:
+            if not value.is_integer():
+                raise ValueError(f"{where}: expected integer, got {value}")
+            return int(value)
+    elif typ is float and abs(value) > sys.float_info.max:
+        raise ValueError(f"{where}: integer too large for a float")
     return value
 
 
-def _build_section(cls, data: dict, where: str):
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+def _material(value) -> MaterialConstants:
+    if not isinstance(value, str):
+        raise ValueError("material must be a preset name or a mapping")
+    if value not in MATERIAL_PRESETS:
+        raise ValueError(f"unknown material preset {value!r}; "
+                         f"have {sorted(MATERIAL_PRESETS)}")
+    return MATERIAL_PRESETS[value]
+
+
+def _build(cls, data, where: str = ""):
+    """Construct dataclass cls from a JSON mapping, typing each field.
+
+    where is the dotted path of the mapping, empty at the top level.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{where or 'the config root'} must be a mapping")
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - set(hints)
     if unknown:
-        raise ValueError(f"unknown key(s) in {where}: {sorted(unknown)}")
-    kwargs = {k: _coerce(k, v, where) for k, v in data.items()}
-    return cls(**kwargs)
-
-
-def _build_material(value):
-    if isinstance(value, str):
-        if value not in MATERIAL_PRESETS:
-            raise ValueError(f"unknown material preset {value!r}; "
-                             f"have {sorted(MATERIAL_PRESETS)}")
-        return MATERIAL_PRESETS[value]
-    if isinstance(value, dict):
-        return _build_section(MaterialConstants, value, "material")
-    raise ValueError("material must be a preset name or a mapping")
+        raise ValueError(f"unknown key(s) in {where or 'the top level'}: "
+                         f"{sorted(unknown, key=str)}")
+    kwargs = {}
+    for f in fields(cls):
+        path = f"{where}.{f.name}" if where else f.name
+        if f.name not in data:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"{path} is required")
+            continue
+        value, typ = data[f.name], hints[f.name]
+        if typ is MaterialConstants and not isinstance(value, dict):
+            kwargs[f.name] = _material(value)
+        elif dataclasses.is_dataclass(typ):
+            kwargs[f.name] = _build(typ, value, path)
+        else:
+            kwargs[f.name] = _coerce(value, typ, path, f.metadata.get("allow_inf", False))
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    unknown = set(raw) - set(_SECTIONS) - {"seed", "out_dir"}
-    if unknown:
-        raise ValueError(f"unknown top-level key(s): {sorted(unknown)}")
-    kwargs = {}
-    if "seed" in raw:
-        kwargs["seed"] = _coerce("seed", raw["seed"], "top level")
-    if "out_dir" in raw:
-        kwargs["out_dir"] = str(raw["out_dir"])
-    for name, cls in _SECTIONS.items():
-        if name not in raw:
-            continue
-        if name == "material":
-            kwargs[name] = _build_material(raw[name])
-        else:
-            if not isinstance(raw[name], dict):
-                raise ValueError(f"section {name!r} must be a mapping")
-            kwargs[name] = _build_section(cls, raw[name], name)
-    return ExperimentConfig(**kwargs)
+    return _build(ExperimentConfig, raw)
 
 
 def apply_override(raw: dict, assignment: str):

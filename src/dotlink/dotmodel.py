@@ -52,27 +52,21 @@ class DotConfig:
 
     e_t_mev: float = 1650.0      # trion transition energy at zero field
     g_x: float = 2.0             # exciton g-factor
-    g_e: float = -0.44           # electron g-factor (spectator here)
     b_field_t: float = 1.0
     t_op_k: float = 30.0
     diameter_nm: float = 16.0
     thickness_nm: float = 4.0
     d_eh_nm: float = 5.0         # electron-hole offset under the transverse field
     t_rad_ps: float = 300.0
-    hole_levels_mev: tuple = (15.0, 24.0, 26.0, 30.0)
-    e_level1_mev: float = 48.0
-    p_forbidden: float = 1e-3
 
     def __post_init__(self):
-        if self.e_t_mev < 0 or self.e_level1_mev < 0 or min(self.hole_levels_mev) < 0:
-            raise ValueError("level energies must be nonnegative")
+        if self.e_t_mev < 0:
+            raise ValueError("e_t_mev must be nonnegative")
         if self.t_rad_ps <= 0:
             raise ValueError("t_rad_ps must be positive")
         if not self.diameter_nm > self.thickness_nm:
             # flat-dot assumption keeps the heavy hole as the ground hole state
             raise ValueError("diameter must exceed thickness")
-        if not 0.0 <= self.p_forbidden <= 1.0:
-            raise ValueError("p_forbidden must be in [0, 1]")
 
 
 @dataclass

@@ -180,9 +180,15 @@ def _lindblad_spont_error(drive: PulsedDrive, gamma_per_ps: float, tol: float) -
     return traj.final().population(2)
 
 
-def _excited_population(traj: Trajectory, weights: dict[int, float]) -> np.ndarray:
+# trions held by each basis level, by system size: the single dot {g, T},
+# the blockaded pair {gg, Tg, gT} and the full pair, whose TT holds two
+_TRION_WEIGHTS = {2: {1: 1.0}, 3: {1: 1.0, 2: 1.0}, 4: {1: 1.0, 2: 1.0, 3: 2.0}}
+
+
+def excited_population(traj: Trajectory) -> np.ndarray:
+    """Trion number at each step, the integrand of the trion exposure."""
     total = np.zeros(len(traj.times))
-    for idx, w in weights.items():
+    for idx, w in _TRION_WEIGHTS[traj.states[0].dim].items():
         total += w * traj.populations(idx)
     return total
 
@@ -208,17 +214,14 @@ def simulate_conditional_gate(drive: PulsedDrive, e_dd_mev: float,
     if math.isinf(e_dd_mev):
         traj_double = evolve_schrodinger(_blockaded_hamiltonian(drive),
                                          basis_state(3, 0), tol=tol)
-        double_weights = {1: 1.0, 2: 1.0}
-        end_excited_double = 1.0 - traj_double.final().population(0)
     else:
         traj_double = evolve_schrodinger(_double_dot_hamiltonian(drive, e_dd_mev),
                                          basis_state(4, 0), tol=tol)
-        # TT holds two trions, so it counts twice in the exposure
-        double_weights = {1: 1.0, 2: 1.0, 3: 2.0}
-        end_excited_double = 1.0 - traj_double.final().population(0)
+    end_excited_double = 1.0 - traj_double.final().population(0)
 
-    exposure_single = float(np.trapezoid(traj_single.populations(1), traj_single.times))
-    exposure_double = float(np.trapezoid(_excited_population(traj_double, double_weights),
+    exposure_single = float(np.trapezoid(excited_population(traj_single),
+                                         traj_single.times))
+    exposure_double = float(np.trapezoid(excited_population(traj_double),
                                          traj_double.times))
 
     phi_single = accumulated_phase(traj_single, 0)

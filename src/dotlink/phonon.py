@@ -34,7 +34,6 @@ class EnvelopeWavefunction:
     sigma_xy_nm: float
     sigma_z_nm: float
     center_nm: tuple = (0.0, 0.0, 0.0)
-    kind: str = "gaussian-anisotropic"
 
     def __post_init__(self):
         if self.sigma_xy_nm <= 0 or self.sigma_z_nm <= 0:
@@ -51,8 +50,8 @@ class PhononModel:
     order: int = 128
 
     def __post_init__(self):
-        if self.order < 16:
-            raise ValueError("quadrature order must be at least 16")
+        if not 16 <= self.order <= MAX_QUADRATURE_ORDER:
+            raise ValueError(f"quadrature order must be in [16, {MAX_QUADRATURE_ORDER}]")
 
 
 def model_from_dot(dot: DotConfig, mat: MaterialConstants, order: int = 128) -> PhononModel:

@@ -17,25 +17,17 @@ from .units import HBAR_MEV_PS
 
 PAIR_STATES = ("psi_minus", "psi_plus", "product")
 
-
-@dataclass
-class PhotonWavepacket:
-    polarization: str            # "sigma+" or "sigma-"
-    center_mev: float
-    gamma_mev: float             # linewidth hbar/T_rad
-    origin_ps: float = 0.0
-
-    def __post_init__(self):
-        if self.gamma_mev <= 0:
-            raise ValueError("linewidth must be positive")
+# sample_link_times draws one int64 per sample: 80 MB at the cap
+MAX_LINK_SAMPLES = 10_000_000
 
 
 @dataclass
 class LinkBudget:
-    """Per-photon efficiency factors and link geometry.
+    """Per-photon efficiency factors, link geometry, and emitter quality.
 
     eta_override, when set, replaces the whole chain with one combined
-    collection and detection efficiency.
+    collection and detection efficiency.  delta_e_uev is the spectral
+    mismatch between the two emitters and t_deph_ps their dephasing time.
     """
 
     eta_wg: float = 0.95
@@ -45,6 +37,8 @@ class LinkBudget:
     l0_km: float = 20.0
     c_fiber_km_ms: float = 200.0
     eta_override: float | None = 0.25
+    delta_e_uev: float = 0.2
+    t_deph_ps: float = 30000.0
 
     def __post_init__(self):
         for name in ("eta_wg", "eta_det"):
@@ -57,6 +51,8 @@ class LinkBudget:
             raise ValueError("l0_km and c_fiber_km_ms must be positive")
         if self.t_switch_ps < 0 or self.alpha_db_km < 0:
             raise ValueError("t_switch_ps and alpha_db_km must be nonnegative")
+        if self.delta_e_uev < 0 or self.t_deph_ps <= 0:
+            raise ValueError("delta_e_uev must be >= 0 and t_deph_ps > 0")
 
 
 @dataclass
@@ -149,6 +145,8 @@ def dephasing_error(t_rad_ps: float, t_deph_ps: float) -> float:
 def sample_link_times(budget: LinkBudget, t_rad_ps: float, n: int,
                       rng: np.random.Generator) -> np.ndarray:
     """Draw n elementary-link completion times (ms), geometric attempts."""
+    if not 1 <= n <= MAX_LINK_SAMPLES:
+        raise ValueError(f"sample count must be in [1, {MAX_LINK_SAMPLES}], got {n}")
     stats = link_attempt_stats(budget, t_rad_ps)
     attempts = rng.geometric(stats["p_success"], size=n)
     return attempts * stats["period_ms"]

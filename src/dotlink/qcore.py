@@ -16,6 +16,9 @@ from scipy.integrate import solve_ivp
 
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-9
+# work budget per evolution, about 100x the 8,583 RHS calls of the default
+# 4-level gate solve; extreme drives hit it instead of running for minutes
+MAX_RHS_CALLS = 1_000_000
 
 
 @dataclass
@@ -135,6 +138,26 @@ def _validate_tol(tol: float):
         raise ValueError(f"tol must be in (0, 1e-3], got {tol}")
 
 
+def _solve(rhs, support: tuple[float, float], y0: np.ndarray, tol: float):
+    """RK45 over the support, raising RuntimeError past MAX_RHS_CALLS."""
+    calls = 0
+
+    def budgeted(t, y):
+        nonlocal calls
+        calls += 1
+        if calls > MAX_RHS_CALLS:
+            raise RuntimeError(f"solver work budget exceeded ({MAX_RHS_CALLS} RHS calls)")
+        return rhs(t, y)
+
+    t0, t1 = support
+    sol = solve_ivp(budgeted, (t0, t1), y0, method="RK45",
+                    rtol=tol, atol=max(tol * 1e-3, 1e-14),
+                    max_step=(t1 - t0) / 64.0)
+    if not sol.success:
+        raise RuntimeError(f"integration failed: {sol.message}")
+    return sol
+
+
 def evolve_schrodinger(ham: TimeDependentHamiltonian, psi0: QuantumState,
                        tol: float = 1e-9) -> Trajectory:
     """Integrate i d|psi>/dt = H(t)|psi> over the Hamiltonian's support.
@@ -151,13 +174,7 @@ def evolve_schrodinger(ham: TimeDependentHamiltonian, psi0: QuantumState,
     def rhs(t, y):
         return -1j * (ham.evaluator(t) @ y)
 
-    t0, t1 = ham.support
-    sol = solve_ivp(rhs, (t0, t1), psi0.amplitudes, method="RK45",
-                    rtol=tol, atol=max(tol * 1e-3, 1e-14),
-                    max_step=(t1 - t0) / 64.0, dense_output=False)
-    if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
-
+    sol = _solve(rhs, ham.support, psi0.amplitudes, tol)
     states = [QuantumState(ham.dim, sol.y[:, k]) for k in range(sol.y.shape[1])]
     drift = max(s.norm_error() for s in states)
     return Trajectory(times=sol.t, states=states, kind="pure", norm_drift=drift)
@@ -197,13 +214,7 @@ def evolve_lindblad(ham: TimeDependentHamiltonian,
                             - 0.5 * (opdag_op @ rho + rho @ opdag_op))
         return drho.ravel()
 
-    t0, t1 = ham.support
-    sol = solve_ivp(rhs, (t0, t1), rho0.matrix.ravel(), method="RK45",
-                    rtol=tol, atol=max(tol * 1e-3, 1e-14),
-                    max_step=(t1 - t0) / 64.0)
-    if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
-
+    sol = _solve(rhs, ham.support, rho0.matrix.ravel(), tol)
     states = [DensityMatrix(dim, sol.y[:, k].reshape(dim, dim))
               for k in range(sol.y.shape[1])]
     drift = max(s.trace_error() for s in states)

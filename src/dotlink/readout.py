@@ -14,6 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# simulate_readout draws a few int64 arrays of n_shots: ~80 MB each at the cap
+MAX_SHOTS = 10_000_000
+# histograms have n_cycles + 1 bins; poisson_limit_error loops to threshold
+MAX_CYCLES = 1_000_000
+
 
 @dataclass
 class ReadoutConfig:
@@ -28,12 +33,10 @@ class ReadoutConfig:
             raise ValueError("p_forbidden must be in [0, 1]")
         if not 0.0 <= self.eta_det <= 1.0:
             raise ValueError("eta_det must be in [0, 1]")
-        if self.n_cycles < 1:
-            raise ValueError("n_cycles must be at least 1")
-        if self.threshold < 1:
-            raise ValueError("threshold must be at least 1")
-        if self.n_shots < 1:
-            raise ValueError("n_shots must be at least 1")
+        for name, cap in (("n_cycles", MAX_CYCLES), ("threshold", MAX_CYCLES),
+                          ("n_shots", MAX_SHOTS)):
+            if not 1 <= getattr(self, name) <= cap:
+                raise ValueError(f"{name} must be in [1, {cap}]")
 
 
 @dataclass

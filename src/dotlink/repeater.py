@@ -13,7 +13,7 @@ cost of that omission visible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,15 +39,18 @@ class WernerPair:
         return (1.0 + 3.0 * self.w) / 4.0
 
 
+# simulate_chain holds a few arrays of n_trials x n_links numbers: ~80 MB each
+# at the cap
+MAX_CHAIN_SAMPLES = 10_000_000
+
+
 @dataclass
 class ChainConfig:
     n_links: int = 64
-    link: LinkBudget = field(default_factory=LinkBudget)
     eps_gate: float = 0.005
     eps_meas: float = 0.005
     w0: float | None = None      # derived from the heralded-pair error if None
-    t_rad_ps: float = 300.0
-    delta_e_uev: float = 0.2
+    n_trials: int = 2000
 
     def __post_init__(self):
         if self.n_links < 1 or self.n_links & (self.n_links - 1):
@@ -57,11 +60,15 @@ class ChainConfig:
                 raise ValueError(f"{name} must be in [0, 1)")
         if self.w0 is not None and not 0.0 <= self.w0 <= 1.0:
             raise ValueError("w0 must be in [0, 1]")
+        if self.n_trials < 1:
+            raise ValueError("n_trials must be at least 1")
+        if self.n_trials * self.n_links > MAX_CHAIN_SAMPLES:
+            raise ValueError(f"n_trials x n_links must be at most {MAX_CHAIN_SAMPLES}")
 
-    def initial_werner(self) -> float:
+    def initial_werner(self, link: LinkBudget, t_rad_ps: float) -> float:
         if self.w0 is not None:
             return self.w0
-        return 1.0 - wavepacket_overlap_error(self.delta_e_uev, self.t_rad_ps)
+        return 1.0 - wavepacket_overlap_error(link.delta_e_uev, t_rad_ps)
 
 
 @dataclass
@@ -98,39 +105,43 @@ def swap(a: WernerPair, b: WernerPair, eps_gate: float, eps_meas: float,
         ready_ms=max(a.ready_ms, b.ready_ms) + span * delay_ms_per_link)
 
 
-def analytic_mean_time(cfg: ChainConfig) -> float:
+def analytic_mean_time(cfg: ChainConfig, link: LinkBudget, t_rad_ps: float) -> float:
     """Doubling estimate (period/P)*(3/2)^levels plus classical delays, ms.
 
     The 3/2 per level is the standard waiting-for-both heuristic; it is an
     approximation, not a bound, and degrades with depth.
     """
-    stats = link_attempt_stats(cfg.link, cfg.t_rad_ps)
+    stats = link_attempt_stats(link, t_rad_ps)
     levels = int(math.log2(cfg.n_links))
-    delay_per_link = cfg.link.l0_km / cfg.link.c_fiber_km_ms
+    delay_per_link = link.l0_km / link.c_fiber_km_ms
     delays = sum(2 ** k * delay_per_link for k in range(1, levels + 1))
     return stats["mean_time_ms"] * 1.5 ** levels + delays
 
 
-def simulate_chain(cfg: ChainConfig, n_trials: int = 2000, seed=0,
-                   keep_trials: bool = False) -> ChainResult:
+def simulate_chain(cfg: ChainConfig, n_trials: int | None = None, seed=0,
+                   keep_trials: bool = False, link: LinkBudget | None = None,
+                   t_rad_ps: float = 300.0) -> ChainResult:
     """Distribution of end-to-end entanglement time and fidelity.
 
     All elementary links start attempting at t = 0; each level swaps as soon
     as both children are ready.  Werner weights are deterministic, so only
-    the times are sampled.
+    the times are sampled.  n_trials, when given, replaces cfg.n_trials;
+    link defaults to LinkBudget().
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
+    if n_trials is not None:
+        cfg = replace(cfg, n_trials=n_trials)
+    n_trials = cfg.n_trials
+    link = LinkBudget() if link is None else link
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
-    stats = link_attempt_stats(cfg.link, cfg.t_rad_ps)
-    delay_per_link = cfg.link.l0_km / cfg.link.c_fiber_km_ms
+    stats = link_attempt_stats(link, t_rad_ps)
+    delay_per_link = link.l0_km / link.c_fiber_km_ms
     depol = (1.0 - cfg.eps_gate) * (1.0 - cfg.eps_meas) ** 2
 
     attempts = rng.geometric(stats["p_success"], size=(n_trials, cfg.n_links))
     ready = attempts * stats["period_ms"]
 
-    w = cfg.initial_werner()
+    w0 = w = cfg.initial_werner(link, t_rad_ps)
     levels = int(math.log2(cfg.n_links))
     per_level = [{"level": 0, "span_links": 1, "w": w,
                   "mean_ready_ms": float(np.mean(ready))}]
@@ -153,7 +164,7 @@ def simulate_chain(cfg: ChainConfig, n_trials: int = 2000, seed=0,
     return ChainResult(
         n_links=cfg.n_links, n_trials=n_trials,
         p_success=stats["p_success"], period_ms=stats["period_ms"],
-        w0=cfg.initial_werner(), w_final=w, fidelity_final=(1.0 + 3.0 * w) / 4.0,
+        w0=w0, w_final=w, fidelity_final=(1.0 + 3.0 * w) / 4.0,
         times_ms=times, per_level=per_level,
-        analytic_mean_ms=analytic_mean_time(cfg),
+        analytic_mean_ms=analytic_mean_time(cfg, link, t_rad_ps),
         trial_times_ms=total.copy() if keep_trials else None)

@@ -2,10 +2,12 @@
 
 import csv
 import json
+import math
 import os
 
 import pytest
 
+from dotlink import PulsedDrive, qcore, simulate_conditional_gate
 from dotlink.cli import main
 
 
@@ -41,6 +43,10 @@ def test_gate_run(tmp_path):
     assert manifest["subcommand"] == "gate"
     assert len(manifest["config_hash"]) == 64
     assert "gate_report.json" in manifest["results"]
+    # infinity is the perfect-blockade limit, accepted from the command line
+    assert run(tmp_path, "gate", "--set", "gate.e_dd_mev=Infinity") == 0
+    blockade = simulate_conditional_gate(PulsedDrive(), math.inf, lindblad_check=False)
+    assert read_json(tmp_path, "gate_report.json")["phi_cond_rad"] == blockade.phi_cond_rad
 
 
 def test_tune_run_and_degenerate_field(tmp_path):
@@ -81,6 +87,9 @@ def test_readout_run_and_bad_config(tmp_path, capsys):
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
     assert run(tmp_path, "gate", "--set", "drive.bogus=1") == 1
+    assert "configuration error" in capsys.readouterr().err
+    # removed dot knobs are unknown keys now
+    assert run(tmp_path, "gate", "--set", "dot.p_forbidden=0.001") == 1
     assert "configuration error" in capsys.readouterr().err
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"not_a_section": {}}))
@@ -159,3 +168,45 @@ def test_reruns_byte_identical(tmp_path):
     mb = read_json(out_b, "run_manifest.json")
     assert ma["config_hash"] == mb["config_hash"]
     assert ma["seed"] == mb["seed"] == 77
+
+
+# every input ends in exit 1 (bad input) or 2 (numerical failure) with a
+# one-line message; none raises out of main
+BAD_INPUTS = [
+    (["gate", "--set", 'gate.e_dd_mev="5"'], 1, "configuration error"),
+    (["phonon", "--set", 'phonon.order="64"'], 1, "configuration error"),
+    (["phonon", "--set", "phonon.order=1e5"], 1, "configuration error"),
+    (["link", "--set", "link.l0_km=NaN"], 1, "configuration error"),
+    (["gate", "--set", "raman.gamma_trion_per_s=NaN"], 1, "configuration error"),
+    (["gate", "--set", "drive.delta=Infinity"], 1, "configuration error"),
+    (["readout", "--set", "readout.n_shots=1e8"], 1, "configuration error"),
+    (["repeater", "--set", "chain.n_trials=1e6"], 1, "configuration error"),
+    (["link", "--trials", "0"], 1, "validation error"),
+    (["readout", "--trials", "0"], 1, "validation error"),
+    (["repeater", "--trials", "0"], 1, "validation error"),
+    (["link", "--trials", "100000000"], 1, "validation error"),
+    (["sweep", "--param", "phonon.e_s_mev", "--values", "7.5,nan"], 1, "validation error"),
+    (["sweep", "--param", "link.delta_e_uev", "--values", "-0.1"], 1, "validation error"),
+    (["gate", "--set", "drive.delta=1e3"], 2, "numerical failure: solver work budget"),
+    (["gate", "--set", "drive.delta=1e5"], 2, "numerical failure: solver work budget"),
+    (["gate", "--set", "drive.omega0=1e4"], 2, "numerical failure: solver work budget"),
+    (["gate", "--set", "drive.tau_ps=1e7"], 2, "numerical failure: solver work budget"),
+]
+
+
+@pytest.mark.parametrize("argv,code,prefix", BAD_INPUTS)
+def test_bad_input_exit_codes(tmp_path, capsys, monkeypatch, argv, code, prefix):
+    # a budget of 10k RHS calls still covers the default gate's 8.6k-call
+    # solve and stops the extreme drives in a tenth of a second.  At the real
+    # budget delta = 1e3 completes instead: its three solves need ~0.5M each.
+    monkeypatch.setattr(qcore, "MAX_RHS_CALLS", 10_000)
+    assert main(argv + ["--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
+def test_out_path_is_a_file(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["tune", "--out", str(taken)]) == 1
+    assert capsys.readouterr().err.startswith("output error")

@@ -1,9 +1,13 @@
 """Configuration loading, overrides, hashing, and RNG stream derivation."""
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dotlink.config import (
     ExperimentConfig,
@@ -31,12 +35,16 @@ def test_defaults_and_hash_stability():
 
 
 def test_unknown_keys_rejected():
-    with pytest.raises(ValueError, match="unknown top-level"):
+    with pytest.raises(ValueError, match="unknown key.*top level"):
         config_from_dict({"dirve": {"tau_ps": 22.0}})
     with pytest.raises(ValueError, match="unknown key"):
         config_from_dict({"drive": {"tau": 22.0}})
     with pytest.raises(ValueError, match="mapping"):
         config_from_dict({"drive": 3.0})
+    # knobs that nothing read are gone
+    for key in ("g_e", "hole_levels_mev", "e_level1_mev", "p_forbidden"):
+        with pytest.raises(ValueError, match="unknown key"):
+            config_from_dict({"dot": {key: 1.0}})
 
 
 def test_material_presets_and_inline():
@@ -49,22 +57,66 @@ def test_material_presets_and_inline():
     assert inline.material.eps_r == 10.0
     with pytest.raises(ValueError, match="preset"):
         config_from_dict({"material": "diamond"})
+    with pytest.raises(ValueError, match="preset name or a mapping"):
+        config_from_dict({"material": ["GaAs"]})
+    with pytest.raises(ValueError, match="required"):
+        config_from_dict({"material": {"name": "toy"}})
 
 
 def test_integer_fields_coerced_strictly():
-    cfg = config_from_dict({"chain": {"n_links": 32.0}})
+    cfg = config_from_dict({"chain": {"n_links": 32.0}, "seed": 7.0})
     assert cfg.chain.n_links == 32 and isinstance(cfg.chain.n_links, int)
+    assert cfg.seed == 7 and isinstance(cfg.seed, int)
     with pytest.raises(ValueError, match="integer"):
         config_from_dict({"chain": {"n_links": 32.5}})
-    with pytest.raises(ValueError, match="boolean"):
+    with pytest.raises(ValueError, match="expected int, got bool"):
         config_from_dict({"readout": {"n_shots": True}})
 
 
+@pytest.mark.parametrize("raw,match", [
+    ({"gate": {"e_dd_mev": "5"}}, "expected float, got str"),
+    ({"phonon": {"order": "64"}}, "expected int, got str"),
+    ({"drive": {"tau_ps": [11.0]}}, "expected float, got list"),
+    ({"link": {"eta_override": {}}}, "expected float, got dict"),
+    ({"drive": {"delta": None}}, "expected float, got NoneType"),
+    ({"out_dir": 5}, "expected str, got int"),
+    ({"link": {"l0_km": math.nan}}, "finite"),
+    ({"raman": {"gamma_trion_per_s": math.nan}}, "finite"),
+    ({"drive": {"delta": math.inf}}, "finite"),
+    ({"gate": {"e_dd_mev": math.nan}}, "finite"),
+    ({"chain": {"n_trials": math.inf}}, "finite"),
+    ({"link": {"l0_km": 10 ** 400}}, "too large"),
+])
+def test_field_types_from_annotations(raw, match):
+    with pytest.raises(ValueError, match=match):
+        config_from_dict(raw)
+
+
+def test_optional_and_infinite_fields():
+    cfg = config_from_dict({"link": {"eta_override": None}, "chain": {"w0": 0.5},
+                            "gate": {"e_dd_mev": math.inf}})
+    assert cfg.link.eta_override is None and cfg.chain.w0 == 0.5
+    # the perfect-blockade limit is the one infinite value accepted
+    assert cfg.gate.e_dd_mev == math.inf
+    assert config_from_dict({"gate": {"e_dd_mev": -math.inf}}).gate.e_dd_mev == -math.inf
+    # ints stay ints in float fields, so configs and hashes round-trip exactly
+    assert config_from_dict({"drive": {"tau_ps": 11}}).drive.tau_ps == 11
+
+
 def test_invalid_values_propagate():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="chain"):
         config_from_dict({"chain": {"n_links": 3}})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="readout"):
         config_from_dict({"readout": {"n_shots": 0}})
+    # size bounds: the benchmark's 1e6 shots and 64 x 1e5 chain samples load
+    config_from_dict({"readout": {"n_shots": 1_000_000},
+                      "chain": {"n_links": 64, "n_trials": 100_000}})
+    for raw in ({"readout": {"n_shots": 10 ** 8}},
+                {"chain": {"n_links": 64, "n_trials": 10 ** 6}},
+                {"phonon": {"order": 1e5}},
+                {"phonon": {"delta_step_mev": 1e-6}}):
+        with pytest.raises(ValueError, match="must be|exceeds"):
+            config_from_dict(raw)
 
 
 def test_overrides():
@@ -105,3 +157,41 @@ def test_derive_rng_streams():
                   derive_rng(54321, "readout"),
                   derive_rng(12345, "readout", index=1)):
         assert not np.array_equal(other.integers(0, 1 << 30, 8), base)
+
+
+SECTION_KEYS = {name: [f.name for f in dataclasses.fields(section)] + ["bogus"]
+                for name, section in vars(ExperimentConfig()).items()
+                if dataclasses.is_dataclass(section)}
+TOP_KEYS = list(vars(ExperimentConfig())) + ["bogus"]
+JSON_VALUES = st.one_of(
+    st.sampled_from([0, 1, 2, 16, 64, 0.5, 1e-3, -1.0, 7.5, 300.0, "GaAs", "ZnSe",
+                     2 ** 63, 10 ** 20, 10 ** 400, -10 ** 400]),
+    st.none(), st.booleans(), st.text(max_size=4), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+@st.composite
+def raw_configs(draw):
+    raw = {}
+    for name in draw(st.lists(st.sampled_from(TOP_KEYS), max_size=4, unique=True)):
+        if name in SECTION_KEYS and draw(st.booleans()):
+            raw[name] = draw(st.dictionaries(st.sampled_from(SECTION_KEYS[name]),
+                                             JSON_VALUES, max_size=4))
+        else:
+            raw[name] = draw(JSON_VALUES)
+    return raw
+
+
+# each example takes well under a millisecond; the deadline and the health
+# check only need slack for a stalled process on a shared host
+@settings(max_examples=100, deadline=1000, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(raw_configs())
+def test_any_mapping_loads_or_raises_value_error(raw):
+    try:
+        cfg = config_from_dict(raw)
+    except ValueError:
+        return
+    assert len(cfg.config_hash()) == 64

@@ -147,6 +147,6 @@ def test_dot_config_validation():
     with pytest.raises(ValueError):
         DotConfig(diameter_nm=3.0, thickness_nm=4.0)
     with pytest.raises(ValueError):
-        DotConfig(p_forbidden=1.5)
+        DotConfig(e_t_mev=-1.0)
     with pytest.raises(ValueError):
         DotConfig(t_rad_ps=0.0)

@@ -9,6 +9,7 @@ import pytest
 from dotlink import DotConfig, PulsedDrive
 from dotlink.dotmodel import GAAS
 from dotlink.phonon import (
+    MAX_QUADRATURE_ORDER,
     EnvelopeWavefunction,
     PhononModel,
     _spectral_density_at_order,
@@ -155,3 +156,5 @@ def test_envelope_and_model_validation():
         EnvelopeWavefunction(4.0, 1.0, center_nm=(0.0, 0.0))
     with pytest.raises(ValueError):
         PhononModel(GAAS, MODEL.electron, MODEL.hole, order=8)
+    with pytest.raises(ValueError):
+        PhononModel(GAAS, MODEL.electron, MODEL.hole, order=MAX_QUADRATURE_ORDER + 1)

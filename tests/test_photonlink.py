@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from dotlink.photonlink import (
+    MAX_LINK_SAMPLES,
     LinkBudget,
-    PhotonWavepacket,
     bsa_coincidence,
     dephasing_error,
     link_attempt_stats,
@@ -129,14 +129,19 @@ def test_dephasing_error():
         dephasing_error(300.0, 0.0)
 
 
-def test_wavepacket_and_budget_validation():
-    with pytest.raises(ValueError):
-        PhotonWavepacket("sigma+", 1650.0, 0.0)
+def test_budget_validation():
     with pytest.raises(ValueError):
         LinkBudget(eta_wg=1.2)
     with pytest.raises(ValueError):
         LinkBudget(l0_km=0.0)
     with pytest.raises(ValueError):
         LinkBudget(eta_override=2.0)
-    pkt = PhotonWavepacket("sigma-", 1650.0, HBAR_MEV_PS / 300.0)
-    assert pkt.origin_ps == 0.0
+    with pytest.raises(ValueError):
+        LinkBudget(delta_e_uev=-0.1)
+    with pytest.raises(ValueError):
+        LinkBudget(t_deph_ps=0.0)
+    with pytest.raises(ValueError):
+        sample_link_times(LinkBudget(), 300.0, 0, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        sample_link_times(LinkBudget(), 300.0, MAX_LINK_SAMPLES + 1,
+                          np.random.default_rng(0))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dotlink import qcore
 from dotlink import (
     DensityMatrix,
     PulsedDrive,
@@ -112,6 +113,18 @@ def test_trajectory_amplitudes_only_for_pure_states():
         traj.amplitudes(0)
     pops = traj.populations(0)
     assert pops.shape == traj.times.shape
+
+
+def test_work_budget_stops_long_solves(monkeypatch):
+    ham = rabi_hamiltonian(1.0)
+    jump = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    # every RK45 step costs several RHS calls, so one call per step runs out
+    steps = len(evolve_schrodinger(ham, basis_state(2, 0)).times)
+    monkeypatch.setattr(qcore, "MAX_RHS_CALLS", steps)
+    with pytest.raises(RuntimeError, match="work budget"):
+        evolve_schrodinger(ham, basis_state(2, 0))
+    with pytest.raises(RuntimeError, match="work budget"):
+        evolve_lindblad(ham, [(jump, 0.01)], pure_density(basis_state(2, 0)))
 
 
 def test_tolerance_halving_stability():

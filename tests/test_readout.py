@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dotlink.readout import ReadoutConfig, poisson_limit_error, simulate_readout
+from dotlink.readout import (MAX_CYCLES, MAX_SHOTS, ReadoutConfig,
+                             poisson_limit_error, simulate_readout)
 
 
 def test_poisson_limit_against_scipy():
@@ -90,3 +91,11 @@ def test_readout_config_validation():
         ReadoutConfig(eta_det=1.2)
     with pytest.raises(ValueError):
         ReadoutConfig(p_forbidden=-0.1)
+    # size caps: 1e6 shots stay allowed
+    ReadoutConfig(n_shots=1_000_000)
+    with pytest.raises(ValueError):
+        ReadoutConfig(n_shots=MAX_SHOTS + 1)
+    with pytest.raises(ValueError):
+        ReadoutConfig(n_cycles=MAX_CYCLES + 1)
+    with pytest.raises(ValueError):
+        ReadoutConfig(threshold=MAX_CYCLES + 1)

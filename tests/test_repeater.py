@@ -7,6 +7,7 @@ import pytest
 
 from dotlink.photonlink import LinkBudget, link_attempt_stats
 from dotlink.repeater import (
+    MAX_CHAIN_SAMPLES,
     ChainConfig,
     WernerPair,
     analytic_mean_time,
@@ -78,10 +79,17 @@ def test_chain_config_validation():
         ChainConfig(eps_gate=1.0)
     with pytest.raises(ValueError):
         ChainConfig(w0=1.5)
+    with pytest.raises(ValueError):
+        ChainConfig(n_trials=0)
+    # the sample cap covers 64 links x 1e5 trials, not 64 x 1e6
+    ChainConfig(n_links=64, n_trials=100_000)
+    with pytest.raises(ValueError):
+        ChainConfig(n_links=64, n_trials=MAX_CHAIN_SAMPLES // 64 + 1)
     # default w0 comes from the heralded-pair error
     cfg = ChainConfig()
-    assert abs(cfg.initial_werner() - (1.0 - 0.0082409)) <= 1e-6
-    assert ChainConfig(w0=0.7).initial_werner() == 0.7
+    assert abs(cfg.initial_werner(LinkBudget(), 300.0) - (1.0 - 0.0082409)) <= 1e-6
+    assert ChainConfig(w0=0.7).initial_werner(LinkBudget(), 300.0) == 0.7
+    assert ChainConfig().initial_werner(LinkBudget(delta_e_uev=0.0), 300.0) == 1.0
 
 
 def test_single_link_mean_time():
@@ -115,7 +123,7 @@ def test_deep_chain_analytic_within_factor():
 def test_default_chain_fidelity():
     res = simulate_chain(ChainConfig(), n_trials=500, seed=8)
     # 6 swap levels square the Werner weight each time
-    w = ChainConfig().initial_werner()
+    w = ChainConfig().initial_werner(LinkBudget(), 300.0)
     depol = (1 - 0.005) * (1 - 0.005) ** 2
     for _ in range(6):
         w = w * w * depol
