@@ -7,9 +7,8 @@ from .dotmodel import (DotConfig, MaterialConstants, NodePlan, GAAS, ZNSE,
                        photon_energies, varshni_shift, varshni_slope)
 from .gatesim import (GateReport, PulsedDrive, RamanConfig, calibrate_phase,
                       raman_gate_error, simulate_conditional_gate)
-from .phonon import (EnvelopeWavefunction, PhononModel, form_factor,
-                     min_separation, model_from_dot, phonon_error,
-                     spectral_density)
+from .phonon import (EnvelopeWavefunction, PhononModel, min_separation,
+                     model_from_dot, phonon_error, spectral_density)
 from .photonlink import (BellOutcome, LinkBudget, bsa_coincidence,
                          dephasing_error, link_attempt_stats,
                          photon_efficiency, sample_link_times,

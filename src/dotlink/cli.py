@@ -36,6 +36,7 @@ from .readout import simulate_readout
 from .repeater import simulate_chain
 
 SUBCOMMANDS = ("gate", "phonon", "link", "readout", "repeater", "tune", "sweep")
+TRIAL_SUBCOMMANDS = ("link", "readout", "repeater")
 
 
 def _atomic_write(path: str, text: str):
@@ -104,14 +105,12 @@ def run_phonon(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
     model = model_from_dot(cfg.dot, cfg.material, order=ps.order)
     grid = np.arange(ps.delta_min_mev, ps.delta_max_mev + ps.delta_step_mev / 2,
                      ps.delta_step_mev)
-    rows = []
-    for delta in grid:
-        j = spectral_density(model, float(delta))
-        eps = phonon_error(model, cfg.drive, float(delta))
-        rows.append((f"{delta:.4f}", f"{j:.9e}", f"{eps:.9e}"))
+    j = spectral_density(model, grid)
+    eps = phonon_error(model, cfg.drive, grid)
     table = _write_csv(outdir, "phonon_table.csv",
                        ["delta_mev", "spectral_density_per_ps", "phonon_error"],
-                       rows)
+                       [(f"{d:.4f}", f"{jd:.9e}", f"{ed:.9e}")
+                        for d, jd, ed in zip(grid, j, eps)])
     payload = {
         "material": cfg.material.name,
         "order": ps.order,
@@ -281,8 +280,8 @@ def run_sweep(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
     if args.param == "phonon.e_s_mev":
         model = model_from_dot(cfg.dot, cfg.material, order=cfg.phonon.order)
         header = ["e_s_mev", "phonon_error"]
-        rows = [(f"{v:.6g}", f"{phonon_error(model, cfg.drive, v):.9e}")
-                for v in values]
+        rows = [(f"{v:.6g}", f"{e:.9e}")
+                for v, e in zip(values, phonon_error(model, cfg.drive, np.array(values)))]
     elif args.param == "gate.e_dd_mev":
         header = ["e_dd_mev", "phi_cond_rad", "adiabatic"]
         for v in values:
@@ -348,6 +347,8 @@ def main(argv=None) -> int:
 
     outdir = cfg.out_dir
     try:
+        if args.trials is not None and args.subcommand not in TRIAL_SUBCOMMANDS:
+            raise ValueError(f"--trials is not used by {args.subcommand}")
         os.makedirs(outdir, exist_ok=True)
         results = RUNNERS[args.subcommand](cfg, outdir, args)
     except ValueError as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
+from scipy.special import j0, roots_legendre
 
 from .dotmodel import DotConfig, MaterialConstants
 from .gatesim import PulsedDrive
@@ -65,79 +65,84 @@ def model_from_dot(dot: DotConfig, mat: MaterialConstants, order: int = 128) -> 
         order=order)
 
 
-def _envelope_transform(env: EnvelopeWavefunction, kx, ky, kz):
-    """Fourier transform of the density: exp(-(k_xy^2 s_xy^2 + k_z^2 s_z^2)/2 - i k.r0)."""
-    gauss = np.exp(-((kx ** 2 + ky ** 2) * env.sigma_xy_nm ** 2
-                     + kz ** 2 * env.sigma_z_nm ** 2) / 2.0)
-    x0, y0, z0 = env.center_nm
-    return gauss * np.exp(-1j * (kx * x0 + ky * y0 + kz * z0))
+# deltas go through the polar rule in blocks of at most this many
+# (delta, node) pairs, so temporaries stay a few MB at any order or grid size
+BLOCK_NODES = 1 << 18
 
 
-def form_factor(model: PhononModel, k_per_nm) -> complex:
-    """Coupling form factor D(k) in eV for wavevector k (1/nm 3-vector)."""
-    kx, ky, kz = (np.asarray(c, dtype=float) for c in k_per_nm)
-    dv = model.material.d_v_ev * _envelope_transform(model.hole, kx, ky, kz)
-    dc = model.material.d_c_ev * _envelope_transform(model.electron, kx, ky, kz)
-    return dv - dc
-
-
-@lru_cache(maxsize=32)
-def _sphere_nodes(order: int):
+@lru_cache(maxsize=16)
+def _polar_nodes(order: int):
     x, w = roots_legendre(order)          # cos(theta) nodes
-    m = max(64, order)
-    phi = 2.0 * math.pi * np.arange(m) / m
-    sin_t = np.sqrt(1.0 - x ** 2)
-    nx = np.outer(sin_t, np.cos(phi)).ravel()
-    ny = np.outer(sin_t, np.sin(phi)).ravel()
-    nz = np.outer(x, np.ones(m)).ravel()
-    weights = np.outer(w, np.full(m, 2.0 * math.pi / m)).ravel()
-    return nx, ny, nz, weights
+    return x, np.sqrt(1.0 - x ** 2), w
 
 
-def _spectral_density_at_order(model: PhononModel, delta_mev: float, order: int) -> float:
-    delta_j = delta_mev * 1e-3 * EV_SI
-    c = model.material.c_s_m_s
-    k_per_m = delta_j / (HBAR_SI * c)
-    k_per_nm = k_per_m * 1e-9
-    nx, ny, nz, w = _sphere_nodes(order)
-    d_ev = form_factor(model, (k_per_nm * nx, k_per_nm * ny, k_per_nm * nz))
-    integral_j2 = float(np.sum(w * np.abs(d_ev * EV_SI) ** 2))
-    j_per_s = delta_j ** 3 * integral_j2 / (16.0 * math.pi ** 3
-                                            * model.material.rho_kg_m3
-                                            * c ** 5 * HBAR_SI ** 4)
-    return j_per_s * 1e-12
+def _spectral_density_at_order(model: PhononModel, deltas, order: int) -> np.ndarray:
+    """J(delta) in 1/ps for positive deltas (meV) from an order-node polar rule.
+
+    Gaussian envelopes average |D(k)|^2 over the azimuth exactly, to Dv^2 Fv^2
+    + Dc^2 Fc^2 - 2 Dv Dc Fv Fc J0(k sin(t) |d_xy|) cos(k cos(t) d_z), with F the
+    envelope amplitudes and d the hole center minus the electron center.
+    """
+    mat, hole, elec = model.material, model.hole, model.electron
+    x, sin_t, w = _polar_nodes(order)
+    # per node, the k^2 coefficient of each envelope amplitude's exponent
+    a_v, a_c = (((sin_t * env.sigma_xy_nm) ** 2 + (x * env.sigma_z_nm) ** 2) / 2.0
+                for env in (hole, elec))
+    dx, dy, dz = np.subtract(hole.center_nm, elec.center_nm)
+    delta_j = np.ravel(deltas) * 1e-3 * EV_SI
+    k_per_nm = delta_j / (HBAR_SI * mat.c_s_m_s) * 1e-9
+    integral_ev2 = np.empty_like(delta_j)
+    step = max(1, BLOCK_NODES // order)
+    for i in range(0, len(k_per_nm), step):
+        k = k_per_nm[i:i + step, None]
+        fv, fc = mat.d_v_ev * np.exp(-k ** 2 * a_v), mat.d_c_ev * np.exp(-k ** 2 * a_c)
+        cross = j0(k * sin_t * math.hypot(dx, dy)) * np.cos(k * x * dz)
+        integral_ev2[i:i + step] = (fv ** 2 + fc ** 2 - 2.0 * fv * fc * cross) @ w
+    j_per_s = delta_j ** 3 * 2.0 * math.pi * integral_ev2 * EV_SI ** 2 / (
+        16.0 * math.pi ** 3 * mat.rho_kg_m3 * mat.c_s_m_s ** 5 * HBAR_SI ** 4)
+    return (j_per_s * 1e-12).reshape(np.shape(deltas))
 
 
-def spectral_density(model: PhononModel, delta_mev: float) -> float:
-    """Phonon spectral density J(delta) in 1/ps, converged by order doubling."""
-    if delta_mev < 0:
-        raise ValueError("delta must be nonnegative")
-    if delta_mev == 0.0:
-        return 0.0
+def spectral_density(model: PhononModel, delta_mev):
+    """Phonon spectral density J(delta) in 1/ps, for one delta (a float) or an array.
+
+    The polar order doubles from model.order until two orders agree to 1e-4
+    relative; the finer value is kept, and only unconverged deltas are refined.
+    """
+    deltas = np.asarray(delta_mev, dtype=float)
+    if not np.all(np.isfinite(deltas) & (deltas >= 0)):
+        raise ValueError("delta must be finite and nonnegative")
+    out = np.zeros(deltas.size)
+    todo = np.flatnonzero(deltas)
     order = model.order
-    value = _spectral_density_at_order(model, delta_mev, order)
-    while order <= MAX_QUADRATURE_ORDER:
-        finer = _spectral_density_at_order(model, delta_mev, 2 * order)
-        if abs(finer - value) <= 1e-4 * max(abs(finer), 1e-300):
-            return finer
+    value = _spectral_density_at_order(model, deltas.flat[todo], order)
+    while todo.size and order <= MAX_QUADRATURE_ORDER:
+        finer = _spectral_density_at_order(model, deltas.flat[todo], 2 * order)
+        done = np.abs(finer - value) <= 1e-4 * np.maximum(np.abs(finer), 1e-300)
+        out[todo[done]] = finer[done]
+        todo, value = todo[~done], finer[~done]
         order *= 2
-        value = finer
-    raise RuntimeError(
-        f"spectral density not converged at delta = {delta_mev} meV "
-        f"(max order {MAX_QUADRATURE_ORDER})")
+    if todo.size:
+        raise RuntimeError(
+            f"spectral density not converged at delta = {deltas.flat[todo[0]]} meV "
+            f"(max order {MAX_QUADRATURE_ORDER})")
+    return float(out[0]) if deltas.ndim == 0 else out.reshape(deltas.shape)
 
 
-def phonon_error(model: PhononModel, drive: PulsedDrive, e_s_mev: float) -> float:
+def phonon_error(model: PhononModel, drive: PulsedDrive, e_s_mev):
     """Probability of phonon-assisted excitation of a neighbor detuned by e_s.
 
     First-order rate 2*pi*J(delta)*Omega(t)^2/delta^2 integrated over the
-    pulse; the Gaussian pulse integral is analytic.
+    pulse; the Gaussian pulse integral is analytic.  One e_s gives a float,
+    an array gives an array.
     """
-    if e_s_mev <= 0:
+    e_s = np.asarray(e_s_mev, dtype=float)
+    if not np.all(e_s > 0):
         raise ValueError("spectral separation must be positive")
-    delta_rad = e_s_mev / HBAR_MEV_PS
-    j = spectral_density(model, e_s_mev)
-    return 2.0 * math.pi * j * drive.omega_sq_integral() / delta_rad ** 2
+    delta_rad = e_s / HBAR_MEV_PS
+    j = spectral_density(model, e_s)
+    eps = 2.0 * math.pi * j * drive.omega_sq_integral() / delta_rad ** 2
+    return float(eps) if e_s.ndim == 0 else eps
 
 
 def min_separation(model: PhononModel, drive: PulsedDrive,
@@ -146,15 +151,16 @@ def min_separation(model: PhononModel, drive: PulsedDrive,
     """Smallest spectral separation keeping the phonon error within budget.
 
     The error estimate is capped at 1 (it is a probability; the first-order
-    formula overshoots near its peak).  The search takes the decreasing
-    branch beyond the error maximum and bisects to the requested resolution.
+    formula overshoots near its peak), so the peak of the scan is its first
+    saturated point when there is one.  The search takes the decreasing
+    branch beyond that peak and bisects to the requested resolution.
     """
     if eps_budget <= 0:
         raise ValueError("error budget must be positive")
     lo, hi = search_mev
 
     def eff(e_s):
-        return min(phonon_error(model, drive, e_s), 1.0)
+        return np.minimum(phonon_error(model, drive, e_s), 1.0)
 
     if eff(lo) <= eps_budget:
         return lo
@@ -164,7 +170,7 @@ def min_separation(model: PhononModel, drive: PulsedDrive,
             f"{eff(hi):.3e}")
 
     grid = np.arange(lo, hi + 0.25, 0.25)
-    peak = float(grid[int(np.argmax([eff(float(e)) for e in grid]))])
+    peak = float(grid[int(np.argmax(eff(grid)))])
 
     a, b = peak, hi
     while b - a > resolution_mev:

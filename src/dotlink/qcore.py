@@ -225,12 +225,12 @@ def accumulated_phase(traj: Trajectory, index: int) -> float:
     """Unwrapped phase gained by one basis amplitude over a pure trajectory.
 
     For a state parked on a diagonal level of energy E this equals -E*T/hbar.
-    Requires the tracked component to stay populated at both ends
-    (|amplitude| > 0.5), otherwise its phase is not meaningful.
+    The tracked component must stay populated at both ends (|amplitude| >
+    0.5); otherwise its phase is not meaningful and RuntimeError is raised.
     """
     amps = traj.amplitudes(index)
     if abs(amps[0]) <= 0.5 or abs(amps[-1]) <= 0.5:
-        raise ValueError(
+        raise RuntimeError(
             f"component {index} too depleted for a phase "
             f"(|a| = {abs(amps[0]):.3f} start, {abs(amps[-1]):.3f} end)")
     phases = np.unwrap(np.angle(amps))

@@ -12,11 +12,3 @@ COULOMB_MEV_NM = 1439.964        # e^2 / (4 pi eps0), meV nm
 # SI values, used only by the phonon spectral density
 HBAR_SI = 1.054571817e-34        # J s
 EV_SI = 1.602176634e-19          # J
-
-
-def mev_to_rad_per_ps(energy_mev: float) -> float:
-    return energy_mev / HBAR_MEV_PS
-
-
-def rad_per_ps_to_mev(omega: float) -> float:
-    return omega * HBAR_MEV_PS

@@ -3,8 +3,10 @@
 Everything here is derived by a different route than the library code:
 adiabatic quadratures via direct numerical integration of dressed-state
 eigenvalues, the swap channel via a brute-force 4-qubit density matrix,
-the phonon spectral density via a Bessel-function reduction of the
-azimuthal integral, and repeater completion-time quantiles from the exact
+the phonon spectral density via the complex form factor summed over the
+whole sphere of phonon directions (and via a Bessel-function reduction of
+the azimuthal integral for an x-only offset, written apart from the
+library's), and repeater completion-time quantiles from the exact
 distribution of the slowest elementary link.
 """
 
@@ -151,6 +153,49 @@ def spectral_density_bessel(model, delta_mev: float, order: int = 400) -> float:
                  * j0(k * np.sqrt(sin2) * d))
     integral_ev2 = 2.0 * math.pi * float(np.sum(wts * integrand))
     integral_j2 = integral_ev2 * EV_SI ** 2
+    j_per_s = delta_j ** 3 * integral_j2 / (16.0 * math.pi ** 3 * mat.rho_kg_m3
+                                            * mat.c_s_m_s ** 5 * HBAR_SI ** 4)
+    return j_per_s * 1e-12
+
+
+# ---- form factor and 2-D sphere rule for the phonon spectral density ------
+
+def _envelope_transform(env, kx, ky, kz):
+    """Fourier transform of the density: exp(-(k_xy^2 s_xy^2 + k_z^2 s_z^2)/2 - i k.r0)."""
+    gauss = np.exp(-((kx ** 2 + ky ** 2) * env.sigma_xy_nm ** 2
+                     + kz ** 2 * env.sigma_z_nm ** 2) / 2.0)
+    x0, y0, z0 = env.center_nm
+    return gauss * np.exp(-1j * (kx * x0 + ky * y0 + kz * z0))
+
+
+def form_factor(model, k_per_nm):
+    """Coupling form factor D(k) in eV for wavevector k (1/nm 3-vector)."""
+    kx, ky, kz = (np.asarray(c, dtype=float) for c in k_per_nm)
+    return (model.material.d_v_ev * _envelope_transform(model.hole, kx, ky, kz)
+            - model.material.d_c_ev * _envelope_transform(model.electron, kx, ky, kz))
+
+
+def spectral_density_sphere(model, delta_mev: float, order: int) -> float:
+    """J(delta) in 1/ps from |D(k)|^2 summed over the whole sphere.
+
+    Gauss-Legendre in cos(theta) with `order` nodes times a trapezoid rule
+    with max(64, order) azimuths, applied to the complex form factor with
+    each envelope's full Fourier transform, phase included: any centers and
+    widths, no analytic reduction.
+    """
+    mat = model.material
+    delta_j = delta_mev * 1e-3 * EV_SI
+    k = delta_j / (HBAR_SI * mat.c_s_m_s) * 1e-9  # 1/nm
+
+    x, wts = roots_legendre(order)
+    m = max(64, order)
+    phi = 2.0 * math.pi * np.arange(m) / m
+    sin_t = np.sqrt(1.0 - x ** 2)
+    d_ev = form_factor(model, (k * np.outer(sin_t, np.cos(phi)),
+                               k * np.outer(sin_t, np.sin(phi)),
+                               k * np.outer(x, np.ones(m))))
+    weights = np.outer(wts, np.full(m, 2.0 * math.pi / m))
+    integral_j2 = float(np.sum(weights * np.abs(d_ev * EV_SI) ** 2))
     j_per_s = delta_j ** 3 * integral_j2 / (16.0 * math.pi ** 3 * mat.rho_kg_m3
                                             * mat.c_s_m_s ** 5 * HBAR_SI ** 4)
     return j_per_s * 1e-12

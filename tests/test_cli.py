@@ -191,6 +191,13 @@ BAD_INPUTS = [
     (["gate", "--set", "drive.delta=1e5"], 2, "numerical failure: solver work budget"),
     (["gate", "--set", "drive.omega0=1e4"], 2, "numerical failure: solver work budget"),
     (["gate", "--set", "drive.tau_ps=1e7"], 2, "numerical failure: solver work budget"),
+    (["gate", "--set", "drive.delta=1.0", "--set", "gate.e_dd_mev=1.25"], 2,
+     "numerical failure: component 0 too depleted"),
+    (["gate", "--trials", "10"], 1, "validation error: --trials is not used by gate"),
+    (["phonon", "--trials", "10"], 1, "validation error: --trials is not used by phonon"),
+    (["tune", "--trials", "10"], 1, "validation error: --trials is not used by tune"),
+    (["sweep", "--param", "phonon.e_s_mev", "--values", "7.5", "--trials", "10"], 1,
+     "validation error: --trials is not used by sweep"),
 ]
 
 

@@ -2,24 +2,26 @@
 addressing error derived from it."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from dotlink import DotConfig, PulsedDrive
-from dotlink.dotmodel import GAAS
+from dotlink import DotConfig, PulsedDrive, phonon
+from dotlink.dotmodel import GAAS, ZNSE
 from dotlink.phonon import (
     MAX_QUADRATURE_ORDER,
     EnvelopeWavefunction,
     PhononModel,
     _spectral_density_at_order,
-    form_factor,
     min_separation,
     model_from_dot,
     phonon_error,
     spectral_density,
 )
-from oracles import spectral_density_bessel
+from oracles import form_factor, spectral_density_bessel, spectral_density_sphere
 
 MODEL = model_from_dot(DotConfig(), GAAS)
 DRIVE = PulsedDrive()
@@ -32,6 +34,7 @@ def test_model_from_dot_geometry():
     assert MODEL.electron.center_nm == (0.0, 0.0, 0.0)
 
 
+# the form factor is the sphere-rule oracle's; these pin it independently
 def test_form_factor_at_zero_wavevector():
     # envelopes normalize to 1, so D(0) = Dv - Dc = 1 - (-8) = 9 eV
     d0 = form_factor(MODEL, (0.0, 0.0, 0.0))
@@ -93,6 +96,67 @@ def test_spectral_density_matches_bessel_route():
         assert abs(j - j_bessel) <= 1e-6 * j
 
 
+@pytest.mark.parametrize("mat", [GAAS, ZNSE], ids=lambda m: m.name)
+def test_spectral_density_matches_sphere_rule_general_offset(mat):
+    # offset along x, y and z with unequal widths: the Bessel oracle assumes
+    # an x-only offset, the sphere rule sums the full complex form factor
+    model = PhononModel(mat, EnvelopeWavefunction(4.0, 1.0, (0.5, -1.0, 0.3)),
+                        EnvelopeWavefunction(3.0, 1.5, (3.0, 2.0, 1.5)))
+    for delta in (1.0, 5.0, 7.5, 12.0):
+        # same polar nodes: the analytic azimuth is exact
+        same = _spectral_density_at_order(model, delta, 256)
+        assert abs(same - spectral_density_sphere(model, delta, 256)) <= 1e-12 * same
+        j = spectral_density(model, delta)
+        ref = spectral_density_sphere(model, delta, 512)
+        assert abs(j - ref) <= 1e-9 * ref
+
+
+def test_spectral_density_array_matches_scalar_calls():
+    deltas = np.array([[0.0, 0.01, 1.0], [7.5, 12.0, 30.0]])
+    j = spectral_density(MODEL, deltas)
+    assert j.shape == deltas.shape
+    for got, delta in zip(j.ravel(), deltas.ravel()):
+        ref = spectral_density(MODEL, float(delta))
+        assert isinstance(ref, float)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+    eps = phonon_error(MODEL, DRIVE, deltas[1])
+    for got, e_s in zip(eps, deltas[1]):
+        assert abs(got - phonon_error(MODEL, DRIVE, float(e_s))) <= 1e-13 * got
+    with pytest.raises(ValueError):
+        spectral_density(MODEL, np.array([1.0, -1.0]))
+    with pytest.raises(ValueError):
+        phonon_error(MODEL, DRIVE, np.array([7.5, 0.0]))
+
+
+def test_spectral_density_blocks_agree(monkeypatch):
+    deltas = np.linspace(0.5, 15.0, 59)
+    one_block = spectral_density(MODEL, deltas)
+    # 300 nodes per block: one delta per block at order 256, none shared
+    monkeypatch.setattr(phonon, "BLOCK_NODES", 300)
+    blocked = spectral_density(MODEL, deltas)
+    assert np.all(np.abs(blocked - one_block) <= 1e-13 * one_block)
+
+
+def test_spectral_density_working_set_bounded():
+    # order 2048 doubles to a 4096-node rule for every delta; evaluated in
+    # one block the temporaries alone would take ~300 MB
+    code = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from dotlink import DotConfig\n"
+        "from dotlink.dotmodel import GAAS\n"
+        "from dotlink.phonon import model_from_dot, spectral_density\n"
+        "model = model_from_dot(DotConfig(), GAAS, order=2048)\n"
+        "spectral_density(model, np.linspace(0.5, 15.0, 2000))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = os.path.dirname(os.path.dirname(phonon.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": "1",
+           "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert int(out) / 1024 < 200.0  # ru_maxrss is in KB on Linux
+
+
 def test_spectral_density_quadrature_converged():
     for delta in (1.0, 7.5, 15.0):
         coarse = _spectral_density_at_order(MODEL, delta, 128)
@@ -135,6 +199,38 @@ def test_min_separation_roundtrip():
     assert phonon_error(MODEL, DRIVE, e_min) <= budget
     # one resolution step tighter violates the budget
     assert phonon_error(MODEL, DRIVE, e_min - 0.02) > budget
+
+
+def test_min_separation_default_pinned():
+    assert abs(min_separation(MODEL, DRIVE, 0.0014) - 7.370849609375) <= 1e-9
+
+
+def _bisect_from(peak, hi, budget, resolution=0.01):
+    a, b = peak, hi
+    while b - a > resolution:
+        mid = 0.5 * (a + b)
+        if min(phonon_error(MODEL, DRIVE, mid), 1.0) <= budget:
+            b = mid
+        else:
+            a = mid
+    return b
+
+
+def test_min_separation_peak_is_first_saturated_point():
+    # from 0.25 meV the scan rises through 0.83 to saturate at 0.5 to 1.25 meV;
+    # the uncapped formula peaks at 0.75 meV, and bisecting from there
+    # lands on a different point
+    lo, hi, budget = 0.25, 30.0, 0.05
+    grid = np.arange(lo, hi + 0.25, 0.25)
+    err = np.array([phonon_error(MODEL, DRIVE, float(e)) for e in grid])
+    saturated = np.flatnonzero(err >= 1.0)
+    assert len(saturated) >= 2 and saturated[0] > 0
+    first = float(grid[saturated[0]])
+    uncapped = float(grid[np.argmax(err)])
+    assert uncapped != first
+    expected = _bisect_from(first, hi, budget)
+    assert expected != _bisect_from(uncapped, hi, budget)
+    assert min_separation(MODEL, DRIVE, budget, search_mev=(lo, hi)) == expected
 
 
 def test_min_separation_saturated_budget():

@@ -101,7 +101,7 @@ def test_accumulated_phase_rejects_depleted_component():
     # pi pulse: ground amplitude passes through zero at the end
     ham = TimeDependentHamiltonian(2, lambda t: h, support=(0.0, math.pi / omega))
     traj = evolve_schrodinger(ham, basis_state(2, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError, match="too depleted"):
         accumulated_phase(traj, 0)
 
 
