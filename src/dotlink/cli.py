@@ -5,7 +5,7 @@ defaults apply), runs one module, and writes JSON/CSV results plus a run
 manifest into the output directory.  Result files depend only on config and
 seed; timestamps live in the manifest alone, so reruns are byte-identical.
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure.
+Exit codes: 0 success, 1 usage or validation error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -67,26 +67,22 @@ def _write_csv(outdir: str, name: str, header: list[str], rows) -> str:
     return name
 
 
+# per-step and per-shot arrays go to CSV files, never into a JSON report
+_ARRAY_FIELDS = ("trajectories", "histogram_bright", "histogram_dark", "trial_times_ms")
+
+
+def _report_fields(report) -> dict:
+    """A report dataclass's fields by name, less its array fields."""
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
+            if f.name not in _ARRAY_FIELDS}
+
+
 def run_gate(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
     gamma = 1.0 / cfg.dot.t_rad_ps
     report = simulate_conditional_gate(cfg.drive, cfg.gate.e_dd_mev,
                                        gamma_per_ps=gamma, tol=cfg.gate.tol)
-    payload = {
-        "e_dd_mev": report.e_dd_mev,
-        "gamma_per_ps": report.gamma_per_ps,
-        "drive": dataclasses.asdict(cfg.drive),
-        "phi_cond_rad": report.phi_cond_rad,
-        "phases_rad": report.phases_rad,
-        "exposure_single_ps": report.exposure_single_ps,
-        "exposures_ps": report.exposures_ps,
-        "eps_spont": report.eps_spont,
-        "eps_spont_avg": report.eps_spont_avg,
-        "eps_spont_lindblad": report.eps_spont_lindblad,
-        "adiabatic": report.adiabatic,
-        "end_excited_max": report.end_excited_max,
-        "norm_drift": report.norm_drift,
-        "raman_gate_error": raman_gate_error(cfg.raman),
-    }
+    payload = {**_report_fields(report), "drive": dataclasses.asdict(cfg.drive),
+               "raman_gate_error": raman_gate_error(cfg.raman)}
     written = [_write_json(outdir, "gate_report.json", payload)]
     if args.trajectories:
         rows = [(label, f"{t:.6f}", f"{p:.9e}")
@@ -130,15 +126,12 @@ def run_phonon(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
 def run_link(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
     budget = cfg.link
     t_rad = cfg.dot.t_rad_ps
-    stats = link_attempt_stats(budget, t_rad)
     n = 100_000 if args.trials is None else args.trials
     rng = derive_rng(cfg.seed, "link")
     times = sample_link_times(budget, t_rad, n, rng)
     payload = {
+        **link_attempt_stats(budget, t_rad),
         "eta_per_photon": photon_efficiency(budget, t_rad),
-        "p_success": stats["p_success"],
-        "period_ms": stats["period_ms"],
-        "mean_time_ms": stats["mean_time_ms"],
         "mc_mean_ms": float(np.mean(times)),
         "mc_se_ms": float(np.std(times, ddof=1) / math.sqrt(n)),
         "n_trials": n,
@@ -163,18 +156,8 @@ def run_readout(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
     if args.trials is not None:
         rcfg = dataclasses.replace(rcfg, n_shots=args.trials)
     report = simulate_readout(rcfg, derive_rng(cfg.seed, "readout"))
-    payload = {
-        "eps_bright": report.eps_bright,
-        "eps_bright_se": report.eps_bright_se,
-        "eps_dark": report.eps_dark,
-        "eps_dark_se": report.eps_dark_se,
-        "poisson_limit": report.poisson_limit,
-        "mean_counts": report.mean_counts,
-        "mean_shelving_cycles": report.mean_shelving_cycles,
-        "mean_shelving_cycles_se": report.mean_shelving_cycles_se,
-        "n_shots": rcfg.n_shots,
-        "threshold": rcfg.threshold,
-    }
+    payload = {**_report_fields(report), "n_shots": rcfg.n_shots,
+               "threshold": rcfg.threshold}
     hist = _write_csv(outdir, "readout_histogram.csv",
                       ["counts", "probability_bright", "probability_dark"],
                       [(k, f"{pb:.9e}", f"{pd:.9e}")
@@ -192,19 +175,7 @@ def run_repeater(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
                             seed=derive_rng(cfg.seed, "repeater"),
                             keep_trials=args.per_trial, link=cfg.link,
                             t_rad_ps=cfg.dot.t_rad_ps)
-    payload = {
-        "n_links": result.n_links,
-        "n_trials": result.n_trials,
-        "p_success": result.p_success,
-        "period_ms": result.period_ms,
-        "w0": result.w0,
-        "w_final": result.w_final,
-        "fidelity_final": result.fidelity_final,
-        "times_ms": result.times_ms,
-        "per_level": result.per_level,
-        "analytic_mean_ms": result.analytic_mean_ms,
-    }
-    written = [_write_json(outdir, "repeater_report.json", payload)]
+    written = [_write_json(outdir, "repeater_report.json", _report_fields(result))]
     if args.per_trial:
         written.append(_write_csv(
             outdir, "repeater_trials.csv", ["trial", "total_time_ms"],
@@ -244,12 +215,7 @@ def run_tune(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
             "four_charge_mev": dipole_dipole_energy(cfg.dot.d_eh_nm, cfg.gate.r_dd_nm,
                                                     cfg.material.eps_r, "four-charge"),
         },
-        "plan": {
-            "e_w_mev": plan.e_w_mev,
-            "e_s_mev": plan.e_s_mev,
-            "n_qubits": plan.n_qubits,
-            "slots_mev": list(plan.slots_mev),
-        },
+        "plan": dataclasses.asdict(plan),
     }
     written = [_write_json(outdir, "tune_report.json", payload)]
     print(f"lines at {e_plus:.5f}/{e_minus:.5f} meV, dT_max = {dt_mk:.2f} mK, "
@@ -309,8 +275,15 @@ RUNNERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors to main, which exits 1, instead of exiting 2."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dotlink",
         description="error-budget simulator for optically linked quantum-dot spins")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -337,7 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
     started = datetime.now(timezone.utc).isoformat()
     try:
         cfg = load_config(args.config, args.overrides, args.seed, args.out)

@@ -9,8 +9,8 @@ doubly excited level is shifted by the dipole-dipole energy.
 Frame convention: the rotating frame of the drive laser, tuned above the
 trion line by delta, puts the trion level at -delta on the diagonal.  The
 doubly excited level sits at -2*delta plus the dipole-dipole shift, which is
-repulsive (positive) by default for the stacked-dot geometry and may be
-flipped by its sign argument.
+repulsive (positive) by default for the stacked-dot geometry; a negative
+e_dd_mev flips it.
 """
 
 from __future__ import annotations
@@ -114,45 +114,48 @@ def raman_gate_error(cfg: RamanConfig) -> float:
     return math.pi * gamma_per_ps / (2.0 * delta_per_ps)
 
 
-def _single_dot_hamiltonian(drive: PulsedDrive) -> TimeDependentHamiltonian:
-    delta = drive.delta
-
-    def h(t):
-        om = drive.omega(t)
-        return np.array([[0.0, om / 2.0], [om / 2.0, -delta]], dtype=complex)
-
-    return TimeDependentHamiltonian(2, h, drive.support())
-
-
-def _double_dot_hamiltonian(drive: PulsedDrive, e_dd_mev: float) -> TimeDependentHamiltonian:
-    delta = drive.delta
-    shift = e_dd_mev / HBAR_MEV_PS
-
-    def h(t):
-        om2 = drive.omega(t) / 2.0
-        return np.array([
-            [0.0, om2, om2, 0.0],
-            [om2, -delta, 0.0, om2],
-            [om2, 0.0, -delta, om2],
-            [0.0, om2, om2, -2.0 * delta + shift],
-        ], dtype=complex)
-
-    return TimeDependentHamiltonian(4, h, drive.support())
+# basis levels by trion occupation per dot, keyed by system size: the single
+# dot {g, T}, the blockaded pair {gg, Tg, gT}, whose doubly excited level is
+# projected out, and the full pair {gg, Tg, gT, TT}
+LEVELS = {
+    2: ((0,), (1,)),
+    3: ((0, 0), (1, 0), (0, 1)),
+    4: ((0, 0), (1, 0), (0, 1), (1, 1)),
+}
 
 
-def _blockaded_hamiltonian(drive: PulsedDrive) -> TimeDependentHamiltonian:
-    # infinite dipole shift: the doubly excited level drops out entirely
-    delta = drive.delta
+def pulse_hamiltonian(levels, delta: float,
+                      shift: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(h0, v) with H(t) = h0 + omega(t) * v on the given levels, in rad/ps.
 
-    def h(t):
-        om2 = drive.omega(t) / 2.0
-        return np.array([
-            [0.0, om2, om2],
-            [om2, -delta, 0.0],
-            [om2, 0.0, -delta],
-        ], dtype=complex)
+    A level holding n trions sits at -n*delta, and the doubly excited level
+    also carries the dipole-dipole shift; v couples, with weight 1/2, every
+    pair of levels that differ by one trion on one dot.
+    """
+    n = len(levels)
+    h0 = np.zeros((n, n), dtype=complex)
+    v = np.zeros((n, n), dtype=complex)
+    for i, a in enumerate(levels):
+        n_trions = sum(a)
+        if n_trions:
+            h0[i, i] = -n_trions * delta
+        if n_trions == 2:
+            h0[i, i] += shift
+        for j, b in enumerate(levels):
+            if sum(abs(x - y) for x, y in zip(a, b)) == 1:
+                v[i, j] = 0.5
+    return h0, v
 
-    return TimeDependentHamiltonian(3, h, drive.support())
+
+def _sink_hamiltonian(delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Single-dot (h0, v) padded by an uncoupled sink level at zero energy."""
+    h0, v = pulse_hamiltonian(LEVELS[2], delta)
+    return np.pad(h0, (0, 1)), np.pad(v, (0, 1))
+
+
+def _driven(drive: PulsedDrive, h0: np.ndarray, v: np.ndarray) -> TimeDependentHamiltonian:
+    return TimeDependentHamiltonian(len(h0), lambda t: h0 + drive.omega(t) * v,
+                                    drive.support())
 
 
 def _lindblad_spont_error(drive: PulsedDrive, gamma_per_ps: float, tol: float) -> float:
@@ -162,17 +165,7 @@ def _lindblad_spont_error(drive: PulsedDrive, gamma_per_ps: float, tol: float) -
     error of the single driven dot, free of the first-order Gamma*exposure
     approximation.
     """
-    delta = drive.delta
-
-    def h(t):
-        om2 = drive.omega(t) / 2.0
-        return np.array([
-            [0.0, om2, 0.0],
-            [om2, -delta, 0.0],
-            [0.0, 0.0, 0.0],
-        ], dtype=complex)
-
-    ham = TimeDependentHamiltonian(3, h, drive.support())
+    ham = _driven(drive, *_sink_hamiltonian(drive.delta))
     jump = np.zeros((3, 3), dtype=complex)
     jump[2, 1] = 1.0
     rho0 = pure_density(basis_state(3, 0))
@@ -180,16 +173,11 @@ def _lindblad_spont_error(drive: PulsedDrive, gamma_per_ps: float, tol: float) -
     return traj.final().population(2)
 
 
-# trions held by each basis level, by system size: the single dot {g, T},
-# the blockaded pair {gg, Tg, gT} and the full pair, whose TT holds two
-_TRION_WEIGHTS = {2: {1: 1.0}, 3: {1: 1.0, 2: 1.0}, 4: {1: 1.0, 2: 1.0, 3: 2.0}}
-
-
 def excited_population(traj: Trajectory) -> np.ndarray:
     """Trion number at each step, the integrand of the trion exposure."""
     total = np.zeros(len(traj.times))
-    for idx, w in _TRION_WEIGHTS[traj.states[0].dim].items():
-        total += w * traj.populations(idx)
+    for idx, level in enumerate(LEVELS[traj.states.shape[1]]):
+        total += sum(level) * traj.populations(idx)
     return total
 
 
@@ -209,14 +197,15 @@ def simulate_conditional_gate(drive: PulsedDrive, e_dd_mev: float,
     if gamma_per_ps < 0:
         raise ValueError("gamma_per_ps must be nonnegative")
 
-    traj_single = evolve_schrodinger(_single_dot_hamiltonian(drive),
-                                     basis_state(2, 0), tol=tol)
+    def evolve(levels, shift=0.0):
+        ham = _driven(drive, *pulse_hamiltonian(levels, drive.delta, shift))
+        return evolve_schrodinger(ham, basis_state(len(levels), 0), tol=tol)
+
+    traj_single = evolve(LEVELS[2])
     if math.isinf(e_dd_mev):
-        traj_double = evolve_schrodinger(_blockaded_hamiltonian(drive),
-                                         basis_state(3, 0), tol=tol)
+        traj_double = evolve(LEVELS[3])
     else:
-        traj_double = evolve_schrodinger(_double_dot_hamiltonian(drive, e_dd_mev),
-                                         basis_state(4, 0), tol=tol)
+        traj_double = evolve(LEVELS[4], e_dd_mev / HBAR_MEV_PS)
     end_excited_double = 1.0 - traj_double.final().population(0)
 
     exposure_single = float(np.trapezoid(excited_population(traj_single),

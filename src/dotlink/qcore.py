@@ -8,7 +8,7 @@ silently corrected; callers decide what drift is acceptable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -113,24 +113,28 @@ class TimeDependentHamiltonian:
 
 @dataclass
 class Trajectory:
-    """Time-ordered states from one evolution, on the solver's own step grid."""
+    """States on the solver's step grid: (steps, dim) amplitudes for a pure
+    evolution, (steps, dim, dim) density matrices for a mixed one."""
 
     times: np.ndarray
-    states: list
-    kind: str  # "pure" or "mixed"
+    states: np.ndarray
     norm_drift: float = 0.0
-    extras: dict = field(default_factory=dict)
 
     def populations(self, index: int) -> np.ndarray:
-        return np.array([s.population(index) for s in self.states])
+        if self.states.ndim == 2:
+            return np.abs(self.states[:, index]) ** 2
+        return self.states[:, index, index].real
 
     def amplitudes(self, index: int) -> np.ndarray:
-        if self.kind != "pure":
+        if self.states.ndim != 2:
             raise TypeError("amplitudes only defined for pure-state trajectories")
-        return np.array([s.amplitudes[index] for s in self.states])
+        return self.states[:, index]
 
     def final(self):
-        return self.states[-1]
+        last = self.states[-1]
+        if last.ndim == 1:
+            return QuantumState(len(last), last)
+        return DensityMatrix(len(last), last)
 
 
 def _validate_tol(tol: float):
@@ -175,9 +179,9 @@ def evolve_schrodinger(ham: TimeDependentHamiltonian, psi0: QuantumState,
         return -1j * (ham.evaluator(t) @ y)
 
     sol = _solve(rhs, ham.support, psi0.amplitudes, tol)
-    states = [QuantumState(ham.dim, sol.y[:, k]) for k in range(sol.y.shape[1])]
-    drift = max(s.norm_error() for s in states)
-    return Trajectory(times=sol.t, states=states, kind="pure", norm_drift=drift)
+    states = sol.y.T
+    drift = float(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
+    return Trajectory(times=sol.t, states=states, norm_drift=drift)
 
 
 def evolve_lindblad(ham: TimeDependentHamiltonian,
@@ -215,10 +219,9 @@ def evolve_lindblad(ham: TimeDependentHamiltonian,
         return drho.ravel()
 
     sol = _solve(rhs, ham.support, rho0.matrix.ravel(), tol)
-    states = [DensityMatrix(dim, sol.y[:, k].reshape(dim, dim))
-              for k in range(sol.y.shape[1])]
-    drift = max(s.trace_error() for s in states)
-    return Trajectory(times=sol.t, states=states, kind="mixed", norm_drift=drift)
+    states = sol.y.T.reshape(-1, dim, dim)
+    drift = float(np.max(np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)))
+    return Trajectory(times=sol.t, states=states, norm_drift=drift)
 
 
 def accumulated_phase(traj: Trajectory, index: int) -> float:

@@ -198,6 +198,9 @@ BAD_INPUTS = [
     (["tune", "--trials", "10"], 1, "validation error: --trials is not used by tune"),
     (["sweep", "--param", "phonon.e_s_mev", "--values", "7.5", "--trials", "10"], 1,
      "validation error: --trials is not used by sweep"),
+    (["sweep"], 1, "usage error: the following arguments are required"),
+    (["link", "--trials", "abc"], 1, "usage error: argument --trials"),
+    (["gate", "--bogus"], 1, "usage error: unrecognized arguments: --bogus"),
 ]
 
 
@@ -210,6 +213,13 @@ def test_bad_input_exit_codes(tmp_path, capsys, monkeypatch, argv, code, prefix)
     assert main(argv + ["--out", str(tmp_path)]) == code
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gate", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dotlink gate")
 
 
 def test_out_path_is_a_file(tmp_path, capsys):

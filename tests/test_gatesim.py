@@ -2,16 +2,20 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from dotlink import (
     GateReport,
     PulsedDrive,
     RamanConfig,
+    Trajectory,
     calibrate_phase,
     raman_gate_error,
     simulate_conditional_gate,
 )
+from dotlink.gatesim import (LEVELS, _sink_hamiltonian, excited_population,
+                             pulse_hamiltonian)
 from dotlink.units import HBAR_MEV_PS
 from oracles import blockade_quadrature
 
@@ -36,6 +40,35 @@ def test_raman_gate_error_scaling():
         RamanConfig(delta_raman_mev=0.0)
     with pytest.raises(ValueError):
         RamanConfig(gamma_trion_per_s=-1.0)
+
+
+def test_level_table_builds_the_pulse_hamiltonians():
+    # the hand-written matrices the builder replaced, at delta d and shift s
+    d, s, h = 0.73, 3.3 / HBAR_MEV_PS, 0.5
+    expected = {
+        "single": (pulse_hamiltonian(LEVELS[2], d),
+                   np.diag([0.0, -d]), [[0, h], [h, 0]]),
+        "blockaded": (pulse_hamiltonian(LEVELS[3], d),
+                      np.diag([0.0, -d, -d]), [[0, h, h], [h, 0, 0], [h, 0, 0]]),
+        "pair": (pulse_hamiltonian(LEVELS[4], d, s),
+                 np.diag([0.0, -d, -d, -2.0 * d + s]),
+                 [[0, h, h, 0], [h, 0, 0, h], [h, 0, 0, h], [0, h, h, 0]]),
+        "sink": (_sink_hamiltonian(d),
+                 np.diag([0.0, -d, 0.0]), [[0, h, 0], [h, 0, 0], [0, 0, 0]]),
+    }
+    om = PulsedDrive(delta=d).omega(3.7)
+    for name, ((h0, v), h0_ref, v_ref) in expected.items():
+        assert np.array_equal(h0, h0_ref), name
+        assert np.array_equal(v, np.array(v_ref, dtype=complex)), name
+        # H(t) = h0 + omega * v reproduces the literal omega/2 entries exactly
+        assert np.array_equal(h0 + om * v, h0_ref + om / 2.0 * (np.array(v_ref) != 0)), name
+
+
+def test_exposure_weights_count_trions():
+    # a trajectory that visits each basis level in turn reads off its weight
+    for dim, weights in ((2, (0, 1)), (3, (0, 1, 1)), (4, (0, 1, 1, 2))):
+        visit = Trajectory(times=np.arange(float(dim)), states=np.eye(dim, dtype=complex))
+        assert np.array_equal(excited_population(visit), weights)
 
 
 def test_zero_drive_is_identity():

@@ -25,6 +25,16 @@ def rabi_hamiltonian(omega):
     return TimeDependentHamiltonian(2, lambda t: h, support=(0.0, 4.0 * math.pi / omega))
 
 
+def single_dot_hamiltonian(drive):
+    # the driven {g, T} pair, written out here so these checks do not lean on
+    # the gate module's level table
+    def h(t):
+        om = drive.omega(t)
+        return np.array([[0.0, om / 2.0], [om / 2.0, -drive.delta]], dtype=complex)
+
+    return TimeDependentHamiltonian(2, h, support=drive.support())
+
+
 def test_rabi_populations_match_closed_form():
     omega = 1.0
     ham = rabi_hamiltonian(omega)
@@ -115,6 +125,24 @@ def test_trajectory_amplitudes_only_for_pure_states():
     assert pops.shape == traj.times.shape
 
 
+def test_trajectory_holds_solver_arrays():
+    ham = rabi_hamiltonian(1.0)
+    jump = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    pure = evolve_schrodinger(ham, basis_state(2, 0))
+    mixed = evolve_lindblad(ham, [(jump, 0.01)], pure_density(basis_state(2, 0)))
+    assert pure.states.shape == (len(pure.times), 2)
+    assert mixed.states.shape == (len(mixed.times), 2, 2)
+    assert isinstance(pure.final(), QuantumState)
+    assert isinstance(mixed.final(), DensityMatrix)
+    assert np.array_equal(pure.final().amplitudes, pure.states[-1])
+    assert np.array_equal(mixed.final().matrix, mixed.states[-1])
+    # drift is the worst step, as each step's own state object reports it
+    assert pure.norm_drift == max(QuantumState(2, a).norm_error() for a in pure.states)
+    assert mixed.norm_drift == max(DensityMatrix(2, m).trace_error() for m in mixed.states)
+    assert np.array_equal(pure.populations(1), np.abs(pure.amplitudes(1)) ** 2)
+    assert np.array_equal(mixed.populations(1), mixed.states[:, 1, 1].real)
+
+
 def test_work_budget_stops_long_solves(monkeypatch):
     ham = rabi_hamiltonian(1.0)
     jump = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -129,13 +157,7 @@ def test_work_budget_stops_long_solves(monkeypatch):
 
 def test_tolerance_halving_stability():
     drive = PulsedDrive()
-    t0, t1 = drive.support()
-
-    def h(t):
-        om = drive.omega(t)
-        return np.array([[0.0, om / 2.0], [om / 2.0, -drive.delta]], dtype=complex)
-
-    ham = TimeDependentHamiltonian(2, h, support=(t0, t1))
+    ham = single_dot_hamiltonian(drive)
     tol = 1e-7
     a = accumulated_phase(evolve_schrodinger(ham, basis_state(2, 0), tol=tol), 0)
     b = accumulated_phase(evolve_schrodinger(ham, basis_state(2, 0), tol=tol / 2), 0)
@@ -144,13 +166,7 @@ def test_tolerance_halving_stability():
 
 def test_single_dot_phase_regression():
     drive = PulsedDrive()
-    t0, t1 = drive.support()
-
-    def h(t):
-        om = drive.omega(t)
-        return np.array([[0.0, om / 2.0], [om / 2.0, -drive.delta]], dtype=complex)
-
-    ham = TimeDependentHamiltonian(2, h, support=(t0, t1))
+    ham = single_dot_hamiltonian(drive)
     traj = evolve_schrodinger(ham, basis_state(2, 0), tol=1e-10)
     phase = accumulated_phase(traj, 0)
     assert abs(phase - (-3.7363732)) <= 1e-5
@@ -161,13 +177,7 @@ def test_single_dot_phase_regression():
                    strict=True)
 def test_single_dot_phase_matches_quadrature_to_1e3():
     drive = PulsedDrive()
-    t0, t1 = drive.support()
-
-    def h(t):
-        om = drive.omega(t)
-        return np.array([[0.0, om / 2.0], [om / 2.0, -drive.delta]], dtype=complex)
-
-    ham = TimeDependentHamiltonian(2, h, support=(t0, t1))
+    ham = single_dot_hamiltonian(drive)
     traj = evolve_schrodinger(ham, basis_state(2, 0), tol=1e-10)
     phase = accumulated_phase(traj, 0)
     assert abs(phase - single_dot_quadrature(drive)) <= 1e-3
@@ -176,25 +186,13 @@ def test_single_dot_phase_matches_quadrature_to_1e3():
 def test_single_dot_nonadiabatic_deviation_value():
     # companion to the strict xfail above: the deviation itself is stable
     drive = PulsedDrive()
-    t0, t1 = drive.support()
-
-    def h(t):
-        om = drive.omega(t)
-        return np.array([[0.0, om / 2.0], [om / 2.0, -drive.delta]], dtype=complex)
-
-    ham = TimeDependentHamiltonian(2, h, support=(t0, t1))
+    ham = single_dot_hamiltonian(drive)
     phase = accumulated_phase(evolve_schrodinger(ham, basis_state(2, 0), tol=1e-10), 0)
     dev = phase - single_dot_quadrature(drive)
     assert abs(dev - (-0.028353)) <= 2e-4
     # and it shrinks like 1/tau
     slow = PulsedDrive(tau_ps=22.0)
-    s0, s1 = slow.support()
-
-    def h2(t):
-        om = slow.omega(t)
-        return np.array([[0.0, om / 2.0], [om / 2.0, -slow.delta]], dtype=complex)
-
-    ham2 = TimeDependentHamiltonian(2, h2, support=(s0, s1))
+    ham2 = single_dot_hamiltonian(slow)
     phase2 = accumulated_phase(evolve_schrodinger(ham2, basis_state(2, 0), tol=1e-10), 0)
     dev2 = phase2 - single_dot_quadrature(slow)
     assert abs(dev2) < 0.6 * abs(dev)
