@@ -68,7 +68,7 @@ def _write_csv(outdir: str, name: str, header: list[str], rows) -> str:
 
 
 # per-step and per-shot arrays go to CSV files, never into a JSON report
-_ARRAY_FIELDS = ("trajectories", "histogram_bright", "histogram_dark", "trial_times_ms")
+_ARRAY_FIELDS = ("trajectories", "histogram_bright", "trial_times_ms")
 
 
 def _report_fields(report) -> dict:
@@ -159,10 +159,8 @@ def run_readout(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
     payload = {**_report_fields(report), "n_shots": rcfg.n_shots,
                "threshold": rcfg.threshold}
     hist = _write_csv(outdir, "readout_histogram.csv",
-                      ["counts", "probability_bright", "probability_dark"],
-                      [(k, f"{pb:.9e}", f"{pd:.9e}")
-                       for k, (pb, pd) in enumerate(zip(report.histogram_bright,
-                                                        report.histogram_dark))])
+                      ["counts", "probability_bright"],
+                      [(k, f"{pb:.9e}") for k, pb in enumerate(report.histogram_bright)])
     written = [_write_json(outdir, "readout_report.json", payload), hist]
     print(f"eps_bright = {report.eps_bright:.4%} +- {report.eps_bright_se:.4%} "
           f"(poisson limit {report.poisson_limit:.4%})")

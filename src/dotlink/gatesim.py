@@ -170,7 +170,7 @@ def _lindblad_spont_error(drive: PulsedDrive, gamma_per_ps: float, tol: float) -
     jump[2, 1] = 1.0
     rho0 = pure_density(basis_state(3, 0))
     traj = evolve_lindblad(ham, [(jump, gamma_per_ps)], rho0, tol=tol)
-    return traj.final().population(2)
+    return float(traj.populations(2)[-1])
 
 
 def excited_population(traj: Trajectory) -> np.ndarray:
@@ -206,7 +206,7 @@ def simulate_conditional_gate(drive: PulsedDrive, e_dd_mev: float,
         traj_double = evolve(LEVELS[3])
     else:
         traj_double = evolve(LEVELS[4], e_dd_mev / HBAR_MEV_PS)
-    end_excited_double = 1.0 - traj_double.final().population(0)
+    end_excited_double = 1.0 - float(traj_double.populations(0)[-1])
 
     exposure_single = float(np.trapezoid(excited_population(traj_single),
                                          traj_single.times))
@@ -220,7 +220,7 @@ def simulate_conditional_gate(drive: PulsedDrive, e_dd_mev: float,
                  "11": exposure_double}
     phi_cond = phases["11"] - phases["01"] - phases["10"] + phases["00"]
 
-    end_excited = max(traj_single.final().population(1), end_excited_double)
+    end_excited = max(float(traj_single.populations(1)[-1]), end_excited_double)
     eps = gamma_per_ps * exposure_single
     eps_avg = gamma_per_ps * sum(exposures.values()) / len(exposures)
 

@@ -144,9 +144,12 @@ def dephasing_error(t_rad_ps: float, t_deph_ps: float) -> float:
 
 def sample_link_times(budget: LinkBudget, t_rad_ps: float, n: int,
                       rng: np.random.Generator) -> np.ndarray:
-    """Draw n elementary-link completion times (ms), geometric attempts."""
-    if not 1 <= n <= MAX_LINK_SAMPLES:
-        raise ValueError(f"sample count must be in [1, {MAX_LINK_SAMPLES}], got {n}")
+    """Draw n elementary-link completion times (ms), geometric attempts.
+
+    n >= 2, so the sample standard error (ddof=1) callers report is finite.
+    """
+    if not 2 <= n <= MAX_LINK_SAMPLES:
+        raise ValueError(f"sample count must be in [2, {MAX_LINK_SAMPLES}], got {n}")
     stats = link_attempt_stats(budget, t_rad_ps)
     attempts = rng.geometric(stats["p_success"], size=n)
     return attempts * stats["period_ms"]

@@ -19,67 +19,18 @@ NORM_TOL = 1e-9
 # work budget per evolution, about 100x the 8,583 RHS calls of the default
 # 4-level gate solve; extreme drives hit it instead of running for minutes
 MAX_RHS_CALLS = 1_000_000
+# times at which each evolution spot-checks the Hamiltonian for hermiticity
+HERMITIAN_SAMPLES = 7
 
 
-@dataclass
-class QuantumState:
-    """Pure state of a dim-level system, amplitudes in a fixed basis."""
-
-    dim: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (self.dim,):
-            raise ValueError(f"expected {self.dim} amplitudes, got shape {self.amplitudes.shape}")
-
-    def norm_error(self) -> float:
-        return abs(float(np.sum(np.abs(self.amplitudes) ** 2)) - 1.0)
-
-    def validate(self, tol: float = NORM_TOL):
-        if self.norm_error() > tol:
-            raise ValueError(f"state norm off by {self.norm_error():.3e} (tol {tol:.0e})")
-
-    def population(self, index: int) -> float:
-        return float(np.abs(self.amplitudes[index]) ** 2)
+def basis_state(dim: int, index: int) -> np.ndarray:
+    psi = np.zeros(dim, dtype=complex)
+    psi[index] = 1.0
+    return psi
 
 
-def basis_state(dim: int, index: int) -> QuantumState:
-    amps = np.zeros(dim, dtype=complex)
-    amps[index] = 1.0
-    return QuantumState(dim, amps)
-
-
-@dataclass
-class DensityMatrix:
-    """Mixed state; Hermitian, unit trace, positive within solver tolerance."""
-
-    dim: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        if self.matrix.shape != (self.dim, self.dim):
-            raise ValueError(f"expected {self.dim}x{self.dim} matrix, got {self.matrix.shape}")
-
-    def trace_error(self) -> float:
-        return abs(float(np.trace(self.matrix).real) - 1.0)
-
-    def validate(self, tol: float = NORM_TOL):
-        if np.max(np.abs(self.matrix - self.matrix.conj().T)) > 1e3 * tol:
-            raise ValueError("density matrix not hermitian")
-        if self.trace_error() > tol:
-            raise ValueError(f"trace off by {self.trace_error():.3e}")
-        if float(np.linalg.eigvalsh(self.matrix).min()) < -10.0 * tol:
-            raise ValueError("density matrix has a significantly negative eigenvalue")
-
-    def population(self, index: int) -> float:
-        return float(self.matrix[index, index].real)
-
-
-def pure_density(state: QuantumState) -> DensityMatrix:
-    a = state.amplitudes
-    return DensityMatrix(state.dim, np.outer(a, a.conj()))
+def pure_density(psi: np.ndarray) -> np.ndarray:
+    return np.outer(psi, psi.conj())
 
 
 @dataclass
@@ -100,9 +51,9 @@ class TimeDependentHamiltonian:
         if not t1 > t0:
             raise ValueError(f"empty support ({t0}, {t1})")
 
-    def check_hermitian(self, n_samples: int = 7):
+    def check_hermitian(self):
         t0, t1 = self.support
-        for t in np.linspace(t0, t1, n_samples):
+        for t in np.linspace(t0, t1, HERMITIAN_SAMPLES):
             h = np.asarray(self.evaluator(float(t)), dtype=complex)
             if h.shape != (self.dim, self.dim):
                 raise ValueError(f"evaluator returned shape {h.shape} at t={t:.3f}")
@@ -130,16 +81,15 @@ class Trajectory:
             raise TypeError("amplitudes only defined for pure-state trajectories")
         return self.states[:, index]
 
-    def final(self):
-        last = self.states[-1]
-        if last.ndim == 1:
-            return QuantumState(len(last), last)
-        return DensityMatrix(len(last), last)
 
-
-def _validate_tol(tol: float):
+def _initial_state(y0, shape: tuple[int, ...], tol: float) -> np.ndarray:
+    """y0 as a complex array, after the tolerance and shape checks."""
     if not (0.0 < tol <= 1e-3):
         raise ValueError(f"tol must be in (0, 1e-3], got {tol}")
+    y0 = np.asarray(y0, dtype=complex)
+    if y0.shape != shape:
+        raise ValueError(f"initial state shape {y0.shape} != {shape}")
+    return y0
 
 
 def _solve(rhs, support: tuple[float, float], y0: np.ndarray, tol: float):
@@ -162,23 +112,23 @@ def _solve(rhs, support: tuple[float, float], y0: np.ndarray, tol: float):
     return sol
 
 
-def evolve_schrodinger(ham: TimeDependentHamiltonian, psi0: QuantumState,
+def evolve_schrodinger(ham: TimeDependentHamiltonian, psi0: np.ndarray,
                        tol: float = 1e-9) -> Trajectory:
     """Integrate i d|psi>/dt = H(t)|psi> over the Hamiltonian's support.
 
     Returns a Trajectory sampled at the solver's accepted steps, with the
     worst norm deviation recorded in norm_drift.
     """
-    _validate_tol(tol)
-    if psi0.dim != ham.dim:
-        raise ValueError(f"state dim {psi0.dim} != hamiltonian dim {ham.dim}")
-    psi0.validate()
+    psi0 = _initial_state(psi0, (ham.dim,), tol)
+    err = abs(float(np.sum(np.abs(psi0) ** 2)) - 1.0)
+    if err > NORM_TOL:
+        raise ValueError(f"state norm off by {err:.3e} (tol {NORM_TOL:.0e})")
     ham.check_hermitian()
 
     def rhs(t, y):
         return -1j * (ham.evaluator(t) @ y)
 
-    sol = _solve(rhs, ham.support, psi0.amplitudes, tol)
+    sol = _solve(rhs, ham.support, psi0, tol)
     states = sol.y.T
     drift = float(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
     return Trajectory(times=sol.t, states=states, norm_drift=drift)
@@ -186,16 +136,20 @@ def evolve_schrodinger(ham: TimeDependentHamiltonian, psi0: QuantumState,
 
 def evolve_lindblad(ham: TimeDependentHamiltonian,
                     jumps: Sequence[tuple[np.ndarray, float]],
-                    rho0: DensityMatrix, tol: float = 1e-9) -> Trajectory:
+                    rho0: np.ndarray, tol: float = 1e-9) -> Trajectory:
     """Integrate the Lindblad master equation with jump operators.
 
     jumps is a sequence of (operator, rate_per_ps) pairs; each contributes
     rate * (L rho L+ - {L+ L, rho}/2).  Trace drift is recorded, not fixed.
     """
-    _validate_tol(tol)
-    if rho0.dim != ham.dim:
-        raise ValueError(f"state dim {rho0.dim} != hamiltonian dim {ham.dim}")
-    rho0.validate()
+    rho0 = _initial_state(rho0, (ham.dim, ham.dim), tol)
+    if np.max(np.abs(rho0 - rho0.conj().T)) > 1e3 * NORM_TOL:
+        raise ValueError("density matrix not hermitian")
+    err = abs(float(np.trace(rho0).real) - 1.0)
+    if err > NORM_TOL:
+        raise ValueError(f"trace off by {err:.3e}")
+    if float(np.linalg.eigvalsh(rho0).min()) < -10.0 * NORM_TOL:
+        raise ValueError("density matrix has a significantly negative eigenvalue")
     ham.check_hermitian()
 
     ops = []
@@ -218,7 +172,7 @@ def evolve_lindblad(ham: TimeDependentHamiltonian,
                             - 0.5 * (opdag_op @ rho + rho @ opdag_op))
         return drho.ravel()
 
-    sol = _solve(rhs, ham.support, rho0.matrix.ravel(), tol)
+    sol = _solve(rhs, ham.support, rho0.ravel(), tol)
     states = sol.y.T.reshape(-1, dim, dim)
     drift = float(np.max(np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)))
     return Trajectory(times=sol.t, states=states, norm_drift=drift)

@@ -33,33 +33,28 @@ class ReadoutConfig:
             raise ValueError("p_forbidden must be in [0, 1]")
         if not 0.0 <= self.eta_det <= 1.0:
             raise ValueError("eta_det must be in [0, 1]")
-        for name, cap in (("n_cycles", MAX_CYCLES), ("threshold", MAX_CYCLES),
-                          ("n_shots", MAX_SHOTS)):
-            if not 1 <= getattr(self, name) <= cap:
-                raise ValueError(f"{name} must be in [1, {cap}]")
+        # n_shots >= 2: the shelving-cycle standard error uses ddof=1
+        for name, low, cap in (("n_cycles", 1, MAX_CYCLES), ("threshold", 1, MAX_CYCLES),
+                               ("n_shots", 2, MAX_SHOTS)):
+            if not low <= getattr(self, name) <= cap:
+                raise ValueError(f"{name} must be in [{low}, {cap}]")
 
 
 @dataclass
 class ReadoutReport:
     eps_bright: float            # P(declare dark | bright)
     eps_bright_se: float
-    eps_dark: float              # P(declare bright | dark)
-    eps_dark_se: float
     poisson_limit: float         # analytic error ignoring shelving
     mean_counts: float
     mean_shelving_cycles: float
     mean_shelving_cycles_se: float
     histogram_bright: np.ndarray  # P(counts = k), k = 0..n_cycles
-    histogram_dark: np.ndarray
 
     def __post_init__(self):
-        for name in ("eps_bright", "eps_dark"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} outside [0, 1]")
-        for h in (self.histogram_bright, self.histogram_dark):
-            if abs(float(np.sum(h)) - 1.0) > 1e-12:
-                raise ValueError("histogram mass must sum to 1")
+        if not 0.0 <= self.eps_bright <= 1.0:
+            raise ValueError("eps_bright outside [0, 1]")
+        if abs(float(np.sum(self.histogram_bright)) - 1.0) > 1e-12:
+            raise ValueError("histogram mass must sum to 1")
 
 
 def poisson_limit_error(mean: float, threshold: int) -> float:
@@ -77,7 +72,7 @@ def poisson_limit_error(mean: float, threshold: int) -> float:
 
 
 def simulate_readout(cfg: ReadoutConfig, seed) -> ReadoutReport:
-    """Monte Carlo of n_shots bright and dark measurements."""
+    """Monte Carlo of n_shots bright-spin measurements."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     n = cfg.n_shots
 
@@ -93,19 +88,12 @@ def simulate_readout(cfg: ReadoutConfig, seed) -> ReadoutReport:
     eps_bright_se = math.sqrt(max(eps_bright * (1.0 - eps_bright), 0.0) / n)
     hist_bright = np.bincount(counts, minlength=cfg.n_cycles + 1) / n
 
-    # ideal dark state: zero signal counts, never above any threshold >= 1
-    hist_dark = np.zeros(cfg.n_cycles + 1)
-    hist_dark[0] = 1.0
-
     return ReadoutReport(
         eps_bright=eps_bright,
         eps_bright_se=eps_bright_se,
-        eps_dark=0.0,
-        eps_dark_se=0.0,
         poisson_limit=poisson_limit_error(cfg.n_cycles * cfg.eta_det, cfg.threshold),
         mean_counts=float(np.mean(counts)),
         mean_shelving_cycles=float(np.mean(shelve)),
         mean_shelving_cycles_se=float(np.std(shelve, ddof=1) / math.sqrt(n)),
         histogram_bright=hist_bright,
-        histogram_dark=hist_dark,
     )

@@ -60,8 +60,9 @@ class ChainConfig:
                 raise ValueError(f"{name} must be in [0, 1)")
         if self.w0 is not None and not 0.0 <= self.w0 <= 1.0:
             raise ValueError("w0 must be in [0, 1]")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be at least 1")
+        # the reported standard error (ddof=1) needs two trials
+        if self.n_trials < 2:
+            raise ValueError("n_trials must be at least 2")
         if self.n_trials * self.n_links > MAX_CHAIN_SAMPLES:
             raise ValueError(f"n_trials x n_links must be at most {MAX_CHAIN_SAMPLES}")
 

@@ -78,7 +78,7 @@ def test_readout_run_and_bad_config(tmp_path, capsys):
     assert rep["n_shots"] == 20000
     assert 0.05 <= rep["eps_bright"] <= 0.15
     rows = read_rows(tmp_path, "readout_histogram.csv")
-    assert rows[0] == ["counts", "probability_bright", "probability_dark"]
+    assert rows[0] == ["counts", "probability_bright"]
     assert len(rows) == 1 + 200 + 1
     # invalid shot count is a configuration error, not a crash
     assert run(tmp_path, "readout", "--set", "readout.n_shots=0") == 1
@@ -201,6 +201,12 @@ BAD_INPUTS = [
     (["sweep"], 1, "usage error: the following arguments are required"),
     (["link", "--trials", "abc"], 1, "usage error: argument --trials"),
     (["gate", "--bogus"], 1, "usage error: unrecognized arguments: --bogus"),
+    # every Monte Carlo reports a ddof=1 standard error, so one sample is refused
+    (["link", "--trials", "1"], 1, "validation error"),
+    (["readout", "--trials", "1"], 1, "validation error"),
+    (["repeater", "--trials", "1"], 1, "validation error"),
+    (["readout", "--set", "readout.n_shots=1"], 1, "configuration error"),
+    (["repeater", "--set", "chain.n_trials=1"], 1, "configuration error"),
 ]
 
 

