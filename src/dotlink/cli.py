@@ -35,10 +35,6 @@ from .photonlink import (bsa_coincidence, dephasing_error, link_attempt_stats,
 from .readout import simulate_readout
 from .repeater import simulate_chain
 
-SUBCOMMANDS = ("gate", "phonon", "link", "readout", "repeater", "tune", "sweep")
-TRIAL_SUBCOMMANDS = ("link", "readout", "repeater")
-
-
 def _atomic_write(path: str, text: str):
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
@@ -285,14 +281,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dotlink",
         description="error-budget simulator for optically linked quantum-dot spins")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="dotted config override")
         p.add_argument("--seed", type=int, help="global seed override")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--trials", type=int, help="Monte Carlo trial count")
+        if name in ("link", "readout", "repeater"):
+            p.add_argument("--trials", type=int, help="Monte Carlo trial count")
         if name == "gate":
             p.add_argument("--trajectories", action="store_true",
                            help="also write per-step populations CSV")
@@ -322,8 +319,6 @@ def main(argv=None) -> int:
 
     outdir = cfg.out_dir
     try:
-        if args.trials is not None and args.subcommand not in TRIAL_SUBCOMMANDS:
-            raise ValueError(f"--trials is not used by {args.subcommand}")
         os.makedirs(outdir, exist_ok=True)
         results = RUNNERS[args.subcommand](cfg, outdir, args)
     except ValueError as exc:

@@ -29,6 +29,8 @@ class MaterialConstants:
     def __post_init__(self):
         if self.rho_kg_m3 <= 0 or self.c_s_m_s <= 0 or self.eps_r <= 0:
             raise ValueError("rho, c_s and eps_r must be positive")
+        if self.varshni_alpha_mev_k <= 0 or self.varshni_beta_k <= 0:
+            raise ValueError("varshni alpha and beta must be positive")
 
 
 GAAS = MaterialConstants(
@@ -64,6 +66,9 @@ class DotConfig:
             raise ValueError("e_t_mev must be nonnegative")
         if self.t_rad_ps <= 0:
             raise ValueError("t_rad_ps must be positive")
+        if self.t_op_k <= 0:
+            # the Varshni slope, which control_precision divides by, is 0 at 0 K
+            raise ValueError("t_op_k must be positive")
         if not self.diameter_nm > self.thickness_nm:
             # flat-dot assumption keeps the heavy hole as the ground hole state
             raise ValueError("diameter must exceed thickness")
@@ -114,15 +119,14 @@ def control_precision(cfg: DotConfig, mat: MaterialConstants,
 
     The targets keep the trion line within de_target of its set point:
     dB from the Zeeman slope g_X mu_B, dT from the Varshni slope at the
-    operating temperature.  A zero slope (T_op = 0) gives an unbounded,
-    i.e. infinite, temperature tolerance.
+    operating temperature, which is positive since DotConfig and
+    MaterialConstants hold T_op, alpha and beta above 0.
     """
     if de_target_uev < 0:
         raise ValueError("precision target must be nonnegative")
     de_mev = de_target_uev * 1e-3
     db_t = de_mev / (abs(cfg.g_x) * MU_B_MEV_PER_T)
-    slope = varshni_slope(cfg.t_op_k, mat)
-    dt_k = de_mev / slope if slope > 0 else math.inf
+    dt_k = de_mev / varshni_slope(cfg.t_op_k, mat)
     return dt_k * 1e3, db_t * 1e3
 
 

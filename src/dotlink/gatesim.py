@@ -29,8 +29,6 @@ from .units import HBAR_MEV_PS
 # pulse support: clip where the envelope falls to 1e-6 of its peak
 _SUPPORT_SIGMAS = math.sqrt(math.log(1e6))
 
-GATE_INPUTS = ("00", "01", "10", "11")
-
 
 @dataclass
 class PulsedDrive:
@@ -74,15 +72,19 @@ class RamanConfig:
 class GateReport:
     """Everything measurable about one conditional-gate simulation.
 
-    eps_spont uses the single-dot trion exposure; eps_spont_avg averages the
-    per-input exposures instead, and eps_spont_lindblad is an independent
+    Input 00 stays uncoupled, so its phase and trion exposure are 0 by
+    construction, and input 10 is a copy of 01, the single driven dot: the
+    single and double fields are the 01 and 11 inputs.  eps_spont uses the
+    single-dot trion exposure; eps_spont_avg averages the exposure over the
+    four inputs instead, and eps_spont_lindblad is an independent
     master-equation estimate of the same error.
     """
 
     phi_cond_rad: float
-    phases_rad: dict
+    phase_single_rad: float
+    phase_double_rad: float
     exposure_single_ps: float
-    exposures_ps: dict
+    exposure_double_ps: float
     eps_spont: float
     eps_spont_avg: float
     eps_spont_lindblad: float | None
@@ -98,7 +100,7 @@ class GateReport:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} = {v} outside [0, 1]")
-        if any(v < 0 for v in self.exposures_ps.values()):
+        if self.exposure_single_ps < 0 or self.exposure_double_ps < 0:
             raise ValueError("negative trion exposure")
 
 
@@ -215,26 +217,22 @@ def simulate_conditional_gate(drive: PulsedDrive, e_dd_mev: float,
 
     phi_single = accumulated_phase(traj_single, 0)
     phi_double = accumulated_phase(traj_double, 0)
-    phases = {"00": 0.0, "01": phi_single, "10": phi_single, "11": phi_double}
-    exposures = {"00": 0.0, "01": exposure_single, "10": exposure_single,
-                 "11": exposure_double}
-    phi_cond = phases["11"] - phases["01"] - phases["10"] + phases["00"]
 
     end_excited = max(float(traj_single.populations(1)[-1]), end_excited_double)
-    eps = gamma_per_ps * exposure_single
-    eps_avg = gamma_per_ps * sum(exposures.values()) / len(exposures)
 
     eps_lind = None
     if lindblad_check and gamma_per_ps > 0:
         eps_lind = _lindblad_spont_error(drive, gamma_per_ps, tol=max(tol, 1e-9))
 
     return GateReport(
-        phi_cond_rad=phi_cond,
-        phases_rad=phases,
+        # the four inputs 11 - 01 - 10 + 00, summed in that order
+        phi_cond_rad=phi_double - phi_single - phi_single + 0.0,
+        phase_single_rad=phi_single,
+        phase_double_rad=phi_double,
         exposure_single_ps=exposure_single,
-        exposures_ps=exposures,
-        eps_spont=eps,
-        eps_spont_avg=eps_avg,
+        exposure_double_ps=exposure_double,
+        eps_spont=gamma_per_ps * exposure_single,
+        eps_spont_avg=gamma_per_ps * (2.0 * exposure_single + exposure_double) / 4,
         eps_spont_lindblad=eps_lind,
         adiabatic=end_excited < ADIABATIC_END_POP,
         end_excited_max=end_excited,
@@ -245,9 +243,14 @@ def simulate_conditional_gate(drive: PulsedDrive, e_dd_mev: float,
     )
 
 
+# calibrate_phase accepts a scan point within this of the target phase, and
+# scans e_dd in steps of this size
+PHASE_TOL_RAD = 1e-3
+SCAN_STEP_MEV = 0.05
+
+
 def calibrate_phase(drive: PulsedDrive, target_rad: float,
-                    e_dd_range: tuple[float, float] = (0.0, 10.0),
-                    tol_rad: float = 1e-3, scan_step_mev: float = 0.05) -> float:
+                    e_dd_range: tuple[float, float] = (0.0, 10.0)) -> float:
     """Find the smallest dipole-dipole energy giving the target conditional phase.
 
     Scans e_dd upward, keeping only points where the gate is adiabatic
@@ -265,23 +268,18 @@ def calibrate_phase(drive: PulsedDrive, target_rad: float,
                                         tol=1e-8, lindblad_check=False)
         return rep.phi_cond_rad - target_rad, rep.adiabatic
 
-    f_lo, ok_lo = probe(lo)
-    if ok_lo and abs(f_lo) <= tol_rad:
-        return lo
-
-    grid = np.arange(lo, hi, scan_step_mev)
+    grid = np.arange(lo, hi, SCAN_STEP_MEV)
     if grid[-1] < hi:
         grid = np.append(grid, hi)
 
-    prev_e, prev_f = (lo, f_lo) if ok_lo else (None, None)
-    seen = [f_lo + target_rad] if ok_lo else []
-    for e in grid[1:]:
+    prev_e, prev_f, seen = None, None, []
+    for e in grid:
         f, ok = probe(float(e))
         if not ok:
             prev_e = None
             continue
         seen.append(f + target_rad)
-        if abs(f) <= tol_rad:
+        if abs(f) <= PHASE_TOL_RAD:
             return float(e)
         if prev_e is not None and prev_f * f < 0:
             root = brentq(lambda x: probe(x)[0], prev_e, float(e), xtol=1e-4)

@@ -58,14 +58,10 @@ class LinkBudget:
 @dataclass
 class BellOutcome:
     coincidence: float           # cross-port coincidence probability per pair
-    heralded_error: float        # infidelity of the heralded state
-    p_success: float             # herald probability per attempt, unit efficiency
 
     def __post_init__(self):
-        for name in ("coincidence", "heralded_error", "p_success"):
-            v = getattr(self, name)
-            if not -1e-12 <= v <= 1.0 + 1e-12:
-                raise ValueError(f"{name} = {v} outside [0, 1]")
+        if not -1e-12 <= self.coincidence <= 1.0 + 1e-12:
+            raise ValueError(f"coincidence = {self.coincidence} outside [0, 1]")
 
 
 def wavepacket_overlap_error(de_uev: float, t_rad_ps: float) -> float:
@@ -94,12 +90,8 @@ def bsa_coincidence(pair_state: str, de_uev: float, t_rad_ps: float) -> BellOutc
 
     Perfectly overlapping photons give coincidence 1 for a psi- input and 0
     for psi+; a polarization-product input sits at 1/2 for any mismatch.
-    With polarization-resolving detectors every opposite-polarization pair
-    produces some two-click herald, so p_success is 1/2 per attempt: the
-    chance the emitted pair lands in the opposite-polarization sector.
     """
-    err = wavepacket_overlap_error(de_uev, t_rad_ps)
-    x = 1.0 - err  # squared wavepacket overlap
+    x = 1.0 - wavepacket_overlap_error(de_uev, t_rad_ps)  # squared wavepacket overlap
     if pair_state == "psi_minus":
         coincidence = (1.0 + x) / 2.0
     elif pair_state == "psi_plus":
@@ -108,7 +100,7 @@ def bsa_coincidence(pair_state: str, de_uev: float, t_rad_ps: float) -> BellOutc
         coincidence = 0.5
     else:
         raise ValueError(f"pair_state must be one of {PAIR_STATES}")
-    return BellOutcome(coincidence=coincidence, heralded_error=err, p_success=0.5)
+    return BellOutcome(coincidence=coincidence)
 
 
 def photon_efficiency(budget: LinkBudget, t_rad_ps: float) -> float:
@@ -124,8 +116,10 @@ def link_attempt_stats(budget: LinkBudget, t_rad_ps: float) -> dict:
     """Success probability, attempt period, and mean time for one link.
 
     One attempt per heralding round trip: period = L0/c_fiber.  Both photons
-    must arrive and the pair must land in the heralding sector, so
-    P = eta^2 / 2 and the attempt count is geometric with mean 1/P.
+    must arrive and the pair must land in the heralding sector.  With
+    polarization-resolving detectors every opposite-polarization pair
+    produces some two-click herald, so that sector's chance is 1/2 per
+    attempt: P = eta^2 / 2 and the attempt count is geometric with mean 1/P.
     """
     eta = photon_efficiency(budget, t_rad_ps)
     p = 0.5 * eta * eta

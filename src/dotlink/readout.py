@@ -46,8 +46,8 @@ class ReadoutReport:
     eps_bright_se: float
     poisson_limit: float         # analytic error ignoring shelving
     mean_counts: float
-    mean_shelving_cycles: float
-    mean_shelving_cycles_se: float
+    mean_shelving_cycles: float | None       # None with shelving off
+    mean_shelving_cycles_se: float | None
     histogram_bright: np.ndarray  # P(counts = k), k = 0..n_cycles
 
     def __post_init__(self):
@@ -73,15 +73,17 @@ def poisson_limit_error(mean: float, threshold: int) -> float:
 
 def simulate_readout(cfg: ReadoutConfig, seed) -> ReadoutReport:
     """Monte Carlo of n_shots bright-spin measurements."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     n = cfg.n_shots
 
-    # cycle index of the shelving event, drawn on the full geometric support
+    # cycle index of the shelving event, drawn on the full geometric support;
+    # with shelving off every shot runs the whole cycle budget
+    shelve = None
     if cfg.p_forbidden > 0:
         shelve = rng.geometric(cfg.p_forbidden, size=n)
+        cycles = np.minimum(shelve - 1, cfg.n_cycles)
     else:
-        shelve = np.full(n, cfg.n_cycles + 1, dtype=np.int64)
-    cycles = np.minimum(shelve - 1, cfg.n_cycles)
+        cycles = np.full(n, cfg.n_cycles)
     counts = rng.binomial(cycles, cfg.eta_det)
 
     eps_bright = float(np.mean(counts < cfg.threshold))
@@ -93,7 +95,8 @@ def simulate_readout(cfg: ReadoutConfig, seed) -> ReadoutReport:
         eps_bright_se=eps_bright_se,
         poisson_limit=poisson_limit_error(cfg.n_cycles * cfg.eta_det, cfg.threshold),
         mean_counts=float(np.mean(counts)),
-        mean_shelving_cycles=float(np.mean(shelve)),
-        mean_shelving_cycles_se=float(np.std(shelve, ddof=1) / math.sqrt(n)),
+        mean_shelving_cycles=None if shelve is None else float(np.mean(shelve)),
+        mean_shelving_cycles_se=(None if shelve is None
+                                 else float(np.std(shelve, ddof=1) / math.sqrt(n))),
         histogram_bright=hist_bright,
     )

@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .photonlink import LinkBudget, link_attempt_stats, wavepacket_overlap_error
+from .photonlink import (MAX_LINK_SAMPLES, LinkBudget, link_attempt_stats,
+                         sample_link_times, wavepacket_overlap_error)
 
 
 @dataclass
@@ -27,7 +28,7 @@ class WernerPair:
     w: float
     left: int
     right: int
-    ready_ms: float = 0.0
+    ready_ms: float | np.ndarray = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.w <= 1.0:
@@ -37,11 +38,6 @@ class WernerPair:
 
     def fidelity(self) -> float:
         return (1.0 + 3.0 * self.w) / 4.0
-
-
-# simulate_chain holds a few arrays of n_trials x n_links numbers: ~80 MB each
-# at the cap
-MAX_CHAIN_SAMPLES = 10_000_000
 
 
 @dataclass
@@ -63,8 +59,8 @@ class ChainConfig:
         # the reported standard error (ddof=1) needs two trials
         if self.n_trials < 2:
             raise ValueError("n_trials must be at least 2")
-        if self.n_trials * self.n_links > MAX_CHAIN_SAMPLES:
-            raise ValueError(f"n_trials x n_links must be at most {MAX_CHAIN_SAMPLES}")
+        if self.n_trials * self.n_links > MAX_LINK_SAMPLES:
+            raise ValueError(f"n_trials x n_links must be at most {MAX_LINK_SAMPLES}")
 
     def initial_werner(self, link: LinkBudget, t_rad_ps: float) -> float:
         if self.w0 is not None:
@@ -94,7 +90,8 @@ def swap(a: WernerPair, b: WernerPair, eps_gate: float, eps_meas: float,
     Gate and measurement noise act as depolarizing channels, multiplying the
     Werner weights by (1-eps_gate)(1-eps_meas)^2 (one gate, two measured
     qubits).  The merged pair is ready once both children are and the
-    heralding signal has crossed the spanned distance.
+    heralding signal has crossed the spanned distance; ready times may be
+    arrays, one entry per trial.
     """
     if a.right != b.left:
         raise ValueError(f"pairs not adjacent: {a.left}-{a.right} and {b.left}-{b.right}")
@@ -103,7 +100,7 @@ def swap(a: WernerPair, b: WernerPair, eps_gate: float, eps_meas: float,
     return WernerPair(
         w=a.w * b.w * depol,
         left=a.left, right=b.right,
-        ready_ms=max(a.ready_ms, b.ready_ms) + span * delay_ms_per_link)
+        ready_ms=np.maximum(a.ready_ms, b.ready_ms) + span * delay_ms_per_link)
 
 
 def analytic_mean_time(cfg: ChainConfig, link: LinkBudget, t_rad_ps: float) -> float:
@@ -133,28 +130,26 @@ def simulate_chain(cfg: ChainConfig, n_trials: int | None = None, seed=0,
         cfg = replace(cfg, n_trials=n_trials)
     n_trials = cfg.n_trials
     link = LinkBudget() if link is None else link
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
 
     stats = link_attempt_stats(link, t_rad_ps)
     delay_per_link = link.l0_km / link.c_fiber_km_ms
-    depol = (1.0 - cfg.eps_gate) * (1.0 - cfg.eps_meas) ** 2
+    link_times = sample_link_times(link, t_rad_ps, n_trials * cfg.n_links, rng)
+    # one pair per level stands for every pair of its span: row i of its
+    # ready times is trial i, column j the j-th such pair along the chain
+    w0 = cfg.initial_werner(link, t_rad_ps)
+    pair = WernerPair(w0, 0, 1, ready_ms=link_times.reshape(n_trials, cfg.n_links))
+    per_level = []
+    for level in range(int(math.log2(cfg.n_links)) + 1):
+        if level:
+            span = pair.right
+            pair = swap(WernerPair(pair.w, 0, span, pair.ready_ms[:, 0::2]),
+                        WernerPair(pair.w, span, 2 * span, pair.ready_ms[:, 1::2]),
+                        cfg.eps_gate, cfg.eps_meas, delay_per_link)
+        per_level.append({"level": level, "span_links": pair.right, "w": pair.w,
+                          "mean_ready_ms": float(np.mean(pair.ready_ms))})
 
-    attempts = rng.geometric(stats["p_success"], size=(n_trials, cfg.n_links))
-    ready = attempts * stats["period_ms"]
-
-    w0 = w = cfg.initial_werner(link, t_rad_ps)
-    levels = int(math.log2(cfg.n_links))
-    per_level = [{"level": 0, "span_links": 1, "w": w,
-                  "mean_ready_ms": float(np.mean(ready))}]
-    span = 1
-    for level in range(1, levels + 1):
-        span *= 2
-        ready = np.maximum(ready[:, 0::2], ready[:, 1::2]) + span * delay_per_link
-        w = w * w * depol
-        per_level.append({"level": level, "span_links": span, "w": w,
-                          "mean_ready_ms": float(np.mean(ready))})
-
-    total = ready[:, 0]
+    total = pair.ready_ms[:, 0]
     q10, q50, q90 = (float(q) for q in np.quantile(total, [0.1, 0.5, 0.9]))
     times = {
         "mean_ms": float(np.mean(total)),
@@ -165,7 +160,7 @@ def simulate_chain(cfg: ChainConfig, n_trials: int | None = None, seed=0,
     return ChainResult(
         n_links=cfg.n_links, n_trials=n_trials,
         p_success=stats["p_success"], period_ms=stats["period_ms"],
-        w0=w0, w_final=w, fidelity_final=(1.0 + 3.0 * w) / 4.0,
+        w0=w0, w_final=pair.w, fidelity_final=pair.fidelity(),
         times_ms=times, per_level=per_level,
         analytic_mean_ms=analytic_mean_time(cfg, link, t_rad_ps),
         trial_times_ms=total.copy() if keep_trials else None)

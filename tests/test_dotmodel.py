@@ -1,5 +1,6 @@
 """Static dot-model quantities: optical lines, thermal drift, dipole shifts."""
 
+import dataclasses
 import math
 
 import pytest
@@ -72,8 +73,11 @@ def test_control_precision_values():
 
 
 def test_control_precision_degenerate_slope():
-    dt_mk, _ = control_precision(DotConfig(t_op_k=0.0), GAAS, de_target_uev=0.2)
-    assert math.isinf(dt_mk)
+    # a zero Varshni slope would make the temperature tolerance infinite
+    with pytest.raises(ValueError, match="t_op_k must be positive"):
+        DotConfig(t_op_k=0.0)
+    with pytest.raises(ValueError, match="varshni alpha and beta must be positive"):
+        dataclasses.replace(GAAS, varshni_alpha_mev_k=0.0)
 
 
 def test_dipole_energy_values():

@@ -87,19 +87,22 @@ def test_default_gate_exposure_and_errors():
     assert abs(rep.exposure_single_ps - 3.4) <= 0.34
     assert abs(rep.eps_spont - rep.exposure_single_ps * gamma) <= 1e-15
     assert abs(rep.eps_spont - 0.0116) <= 3e-4
-    # input average: 00 contributes nothing, 11 counts both trions but the
-    # blockade keeps its exposure below twice the single-dot value
-    mean_exposure = sum(rep.exposures_ps.values()) / 4.0
+    # input average: 00 contributes nothing, 01 and 10 one driven dot each,
+    # 11 counts both trions but the blockade keeps its exposure below twice
+    # the single-dot value
+    mean_exposure = (0.0 + 2.0 * rep.exposure_single_ps + rep.exposure_double_ps) / 4.0
     assert abs(rep.eps_spont_avg - gamma * mean_exposure) <= 1e-15
-    assert rep.exposures_ps["11"] < 2.0 * rep.exposures_ps["01"]
+    assert rep.exposure_double_ps < 2.0 * rep.exposure_single_ps
     assert abs(rep.eps_spont_avg - 0.00982) <= 2e-4
     assert rep.eps_spont_lindblad is not None
     assert abs(rep.eps_spont_lindblad - rep.eps_spont) / rep.eps_spont <= 0.15
     assert rep.adiabatic
     assert rep.norm_drift < 1e-8
-    assert rep.phases_rad["01"] == rep.phases_rad["10"]
-    assert abs(rep.phases_rad["01"] - (-3.7363732)) <= 1e-5
+    assert abs(rep.phase_single_rad - (-3.7363732)) <= 1e-5
     assert abs(rep.phi_cond_rad - 1.1722086) <= 1e-4
+    # phi_cond = phi_11 - phi_01 - phi_10 + phi_00, with 10 a copy of 01
+    assert abs(rep.phi_cond_rad
+               - (rep.phase_double_rad - 2.0 * rep.phase_single_rad)) <= 1e-12
 
 
 def test_no_decay_skips_lindblad_branch():
@@ -119,8 +122,8 @@ def test_single_dot_exposure_independent_of_coupling():
     a = simulate_conditional_gate(DRIVE, 1.0, lindblad_check=False)
     b = simulate_conditional_gate(DRIVE, 8.0, lindblad_check=False)
     # the 01/10 subsystem never sees the dipole shift
-    assert a.exposures_ps["01"] == b.exposures_ps["01"]
-    assert a.phases_rad["01"] == b.phases_rad["01"]
+    assert a.exposure_single_ps == b.exposure_single_ps
+    assert a.phase_single_rad == b.phase_single_rad
     assert a.phi_cond_rad != b.phi_cond_rad
 
 
@@ -169,12 +172,14 @@ def test_omega_sq_integral_closed_form():
 
 
 def test_gate_report_validation():
-    with pytest.raises(ValueError):
-        GateReport(phi_cond_rad=0.0, phases_rad={}, exposure_single_ps=0.0,
-                   exposures_ps={}, eps_spont=1.5, eps_spont_avg=0.0,
-                   eps_spont_lindblad=None, adiabatic=True,
-                   end_excited_max=0.0, norm_drift=0.0, e_dd_mev=5.0,
-                   gamma_per_ps=0.0)
+    good = dict(phi_cond_rad=0.0, phase_single_rad=0.0, phase_double_rad=0.0,
+                exposure_single_ps=0.0, exposure_double_ps=0.0, eps_spont=0.0,
+                eps_spont_avg=0.0, eps_spont_lindblad=None, adiabatic=True,
+                end_excited_max=0.0, norm_drift=0.0, e_dd_mev=5.0, gamma_per_ps=0.0)
+    GateReport(**good)
+    for bad in ({"eps_spont": 1.5}, {"exposure_double_ps": -1.0}):
+        with pytest.raises(ValueError):
+            GateReport(**{**good, **bad})
     with pytest.raises(ValueError):
         simulate_conditional_gate(DRIVE, 5.0, gamma_per_ps=-0.1)
     with pytest.raises(ValueError):

@@ -34,6 +34,9 @@ def test_readout_no_shelving_matches_binomial():
     assert abs(exact - 3.528566e-3) <= 1e-8
     assert abs(rep.eps_bright - exact) <= 3.0 * max(rep.eps_bright_se, 1e-6)
     assert abs(rep.mean_counts - cfg.n_cycles * cfg.eta_det) <= 0.1
+    # no shelving event happens, so there is no shelving-cycle mean to report
+    assert rep.mean_shelving_cycles is None
+    assert rep.mean_shelving_cycles_se is None
 
 
 def test_readout_deterministic_bright():

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.stats import geom
 
-from dotlink.photonlink import LinkBudget, link_attempt_stats
+from dotlink.photonlink import (MAX_LINK_SAMPLES, LinkBudget, link_attempt_stats,
+                                sample_link_times)
 from dotlink.repeater import (
-    MAX_CHAIN_SAMPLES,
     ChainConfig,
     WernerPair,
     analytic_mean_time,
@@ -52,6 +52,14 @@ def test_swap_ready_time_accounting():
     b = WernerPair(w=0.9, left=1, right=2, ready_ms=5.0)
     out = swap(a, b, 0.005, 0.005, delay_ms_per_link=0.1)
     assert abs(out.ready_ms - (5.0 + 2 * 0.1)) <= 1e-12
+    # one ready time per trial: the same as swapping trial by trial
+    ready_a, ready_b = np.array([3.0, 6.0, 1.0]), np.array([5.0, 2.0, 1.0])
+    batch = swap(WernerPair(0.9, 0, 1, ready_a), WernerPair(0.9, 1, 2, ready_b),
+                 0.005, 0.005, delay_ms_per_link=0.1)
+    each = [swap(WernerPair(0.9, 0, 1, x), WernerPair(0.9, 1, 2, y),
+                 0.005, 0.005, delay_ms_per_link=0.1) for x, y in zip(ready_a, ready_b)]
+    assert np.array_equal(batch.ready_ms, [p.ready_ms for p in each])
+    assert batch.w == out.w == each[0].w
 
 
 def test_swap_formula_value():
@@ -85,7 +93,7 @@ def test_chain_config_validation():
     # the sample cap covers 64 links x 1e5 trials, not 64 x 1e6
     ChainConfig(n_links=64, n_trials=100_000)
     with pytest.raises(ValueError):
-        ChainConfig(n_links=64, n_trials=MAX_CHAIN_SAMPLES // 64 + 1)
+        ChainConfig(n_links=64, n_trials=MAX_LINK_SAMPLES // 64 + 1)
     # default w0 comes from the heralded-pair error
     cfg = ChainConfig()
     assert abs(cfg.initial_werner(LinkBudget(), 300.0) - (1.0 - 0.0082409)) <= 1e-6
@@ -104,6 +112,10 @@ def test_single_link_mean_time():
     for f in (0.1, 0.5, 0.9):
         assert repeater_time_quantile(1, res.p_success, res.period_ms, 0.0, f) \
             == res.period_ms * geom.ppf(f, res.p_success)
+    # one link's trial times are the link sampler's draws
+    one = simulate_chain(cfg, n_trials=100, seed=np.random.default_rng(5), keep_trials=True)
+    assert np.array_equal(one.trial_times_ms, sample_link_times(
+        LinkBudget(), 300.0, 100, np.random.default_rng(5)))
 
 
 def test_two_link_analytic_agreement():
@@ -162,10 +174,15 @@ def test_chain_reproducible_and_trials_kept():
     b = simulate_chain(ChainConfig(n_links=8), n_trials=300, seed=42)
     assert a.times_ms == b.times_ms
     assert a.trial_times_ms is None
-    c = simulate_chain(ChainConfig(n_links=8), n_trials=300, seed=42,
-                       keep_trials=True)
+    c = simulate_chain(ChainConfig(n_links=8), n_trials=300,
+                       seed=np.random.default_rng(42), keep_trials=True)
     assert c.trial_times_ms is not None and len(c.trial_times_ms) == 300
     assert float(np.mean(c.trial_times_ms)) == a.times_ms["mean_ms"]
+    # each trial waits for its slowest link, then pays the delays of 3 levels
+    attempts = np.random.default_rng(42).geometric(c.p_success, size=(300, 8))
+    delays = (2 + 4 + 8) * 0.1
+    assert np.max(np.abs(c.trial_times_ms
+                         - (c.period_ms * attempts.max(axis=1) + delays))) <= 1e-12
     with pytest.raises(ValueError):
         simulate_chain(ChainConfig(), n_trials=0)
 
