@@ -69,6 +69,9 @@ class DotConfig:
         if self.t_op_k <= 0:
             # the Varshni slope, which control_precision divides by, is 0 at 0 K
             raise ValueError("t_op_k must be positive")
+        if self.g_x == 0:
+            # so is the Zeeman slope g_x * mu_B
+            raise ValueError("g_x must be nonzero")
         if not self.diameter_nm > self.thickness_nm:
             # flat-dot assumption keeps the heavy hole as the ground hole state
             raise ValueError("diameter must exceed thickness")
@@ -119,8 +122,8 @@ def control_precision(cfg: DotConfig, mat: MaterialConstants,
 
     The targets keep the trion line within de_target of its set point:
     dB from the Zeeman slope g_X mu_B, dT from the Varshni slope at the
-    operating temperature, which is positive since DotConfig and
-    MaterialConstants hold T_op, alpha and beta above 0.
+    operating temperature.  Both slopes are nonzero, since DotConfig holds
+    g_x != 0 and T_op > 0, and MaterialConstants alpha and beta above 0.
     """
     if de_target_uev < 0:
         raise ValueError("precision target must be nonnegative")

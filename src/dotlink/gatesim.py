@@ -19,11 +19,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .qcore import (TimeDependentHamiltonian, Trajectory, accumulated_phase,
-                    basis_state, evolve_lindblad, evolve_schrodinger,
-                    pure_density)
+from .qcore import (MAX_PHASE_STEP, TimeDependentHamiltonian, Trajectory,
+                    accumulated_phase, basis_state, depleted, evolve_lindblad,
+                    magnus_propagate, norm_drift, phase_steps, pure_density)
 from .units import HBAR_MEV_PS
 
 # pulse support: clip where the envelope falls to 1e-6 of its peak
@@ -155,11 +154,6 @@ def _sink_hamiltonian(delta: float) -> tuple[np.ndarray, np.ndarray]:
     return np.pad(h0, (0, 1)), np.pad(v, (0, 1))
 
 
-def _driven(drive: PulsedDrive, h0: np.ndarray, v: np.ndarray) -> TimeDependentHamiltonian:
-    return TimeDependentHamiltonian(len(h0), lambda t: h0 + drive.omega(t) * v,
-                                    drive.support())
-
-
 def _lindblad_spont_error(drive: PulsedDrive, gamma_per_ps: float, tol: float) -> float:
     """Driven two-level system with decay routed to a sink level.
 
@@ -167,7 +161,8 @@ def _lindblad_spont_error(drive: PulsedDrive, gamma_per_ps: float, tol: float) -
     error of the single driven dot, free of the first-order Gamma*exposure
     approximation.
     """
-    ham = _driven(drive, *_sink_hamiltonian(drive.delta))
+    h0, v = _sink_hamiltonian(drive.delta)
+    ham = TimeDependentHamiltonian(3, lambda t: h0 + drive.omega(t) * v, drive.support())
     jump = np.zeros((3, 3), dtype=complex)
     jump[2, 1] = 1.0
     rho0 = pure_density(basis_state(3, 0))
@@ -184,6 +179,47 @@ def excited_population(traj: Trajectory) -> np.ndarray:
 
 
 ADIABATIC_END_POP = 1e-3
+# a gate leg starts at this many Magnus steps and doubles them until the
+# phases at n and 2n steps agree within PHASE_TOL_PER_TOL * tol rad
+START_STEPS = 400
+PHASE_TOL_PER_TOL = 1e2
+
+
+def _evolve_ground(drive: PulsedDrive, h0: np.ndarray, v: np.ndarray, tol: float,
+                   adiabatic_only: bool = False):
+    """Grid times, states and ground-state phases under h0 + omega(t) * v.
+
+    h0 is one (d, d) Hamiltonian or a (B, d, d) stack, each started in level
+    0.  The step count doubles from START_STEPS until, for every element
+    whose ground amplitude is not depleted (and, with adiabatic_only, ends
+    with less than ADIABATIC_END_POP outside it), the phases at n and 2n
+    steps agree within PHASE_TOL_PER_TOL * tol rad and no phase step of the
+    2n grid exceeds MAX_PHASE_STEP; the 2n result is returned.  At 4th order
+    its phase error is about a fifteenth of the n-to-2n difference, so
+    below 10 * tol rad: 1e-8 rad at the gate's default tol of 1e-9.  Other
+    elements get a NaN phase: near the two-photon resonance the ground
+    amplitude can pass close to zero mid-pulse, and resolving its winding
+    there takes tens of thousands of steps.  Past qcore.MAX_MAGNUS_STEPS
+    the propagator raises RuntimeError.
+    """
+    psi0 = basis_state(v.shape[0], 0)
+    n_steps, previous = START_STEPS, None
+    while True:
+        times, states = magnus_propagate(h0, v, drive.omega, drive.support(),
+                                         psi0, n_steps)
+        amps = states[..., 0]
+        steps = phase_steps(amps)
+        usable = ~depleted(amps)
+        if adiabatic_only:
+            usable &= 1.0 - np.abs(amps[..., -1]) ** 2 < ADIABATIC_END_POP
+        phases = np.where(usable, np.sum(steps, axis=-1), np.nan)
+        if previous is not None:
+            settled = ((np.abs(phases - previous) <= PHASE_TOL_PER_TOL * tol)
+                       & (np.max(np.abs(steps), axis=-1) <= MAX_PHASE_STEP))
+            if np.all(settled | np.isnan(phases)):
+                return times, states, phases
+        previous = phases
+        n_steps *= 2
 
 
 def simulate_conditional_gate(drive: PulsedDrive, e_dd_mev: float,
@@ -194,14 +230,18 @@ def simulate_conditional_gate(drive: PulsedDrive, e_dd_mev: float,
     e_dd_mev is the dipole-dipole shift of the doubly excited level
     (positive = repulsive); math.inf selects the perfect-blockade limit
     where that level is projected out.  gamma_per_ps only scales the error
-    bookkeeping; the coherent evolution is always unitary.
+    bookkeeping; the coherent evolution is always unitary.  tol sets the
+    step doubling of each input's propagation (see _evolve_ground).
     """
     if gamma_per_ps < 0:
         raise ValueError("gamma_per_ps must be nonnegative")
+    if not 0.0 < tol <= 1e-3:
+        raise ValueError(f"tol must be in (0, 1e-3], got {tol}")
 
     def evolve(levels, shift=0.0):
-        ham = _driven(drive, *pulse_hamiltonian(levels, drive.delta, shift))
-        return evolve_schrodinger(ham, basis_state(len(levels), 0), tol=tol)
+        h0, v = pulse_hamiltonian(levels, drive.delta, shift)
+        times, states, _ = _evolve_ground(drive, h0, v, tol)
+        return Trajectory(times=times, states=states, norm_drift=norm_drift(states))
 
     traj_single = evolve(LEVELS[2])
     if math.isinf(e_dd_mev):
@@ -243,48 +283,88 @@ def simulate_conditional_gate(drive: PulsedDrive, e_dd_mev: float,
     )
 
 
-# calibrate_phase accepts a scan point within this of the target phase, and
-# scans e_dd in steps of this size
+# calibrate_phase accepts a scan point within PHASE_TOL_RAD of the target
+# phase, scans e_dd in steps of SCAN_STEP_MEV, SCAN_CHUNK points per batch,
+# and narrows a bracket to XTOL_MEV, propagating at CALIBRATION_TOL
 PHASE_TOL_RAD = 1e-3
 SCAN_STEP_MEV = 0.05
+SCAN_CHUNK = 32
+XTOL_MEV = 1e-4
+CALIBRATION_TOL = 1e-8
 
 
 def calibrate_phase(drive: PulsedDrive, target_rad: float,
                     e_dd_range: tuple[float, float] = (0.0, 10.0)) -> float:
     """Find the smallest dipole-dipole energy giving the target conditional phase.
 
-    Scans e_dd upward, keeping only points where the gate is adiabatic
+    Scans e_dd upward, a batch of points at a time, keeping only points
+    where the gate is adiabatic and the ground amplitude is not depleted
     (the phase is ill-conditioned across the two-photon resonance where
-    population escapes), and root-finds inside the first adjacent pair of
-    good points that brackets the target.  Raises RuntimeError with the
-    attainable phase range when no such bracket exists.
+    population escapes).  Inside the first adjacent pair of good points
+    that brackets the target it runs false position until the phase is
+    within the propagator's accuracy of the target or the bracket is
+    narrower than XTOL_MEV.  The single-dot leg, the same at every e_dd, is
+    propagated once.  Raises RuntimeError with the attainable phase range
+    when no such bracket exists.
     """
     lo, hi = e_dd_range
     if not (0.0 <= lo < hi):
         raise ValueError(f"bad e_dd range ({lo}, {hi})")
 
-    def probe(e_dd):
-        rep = simulate_conditional_gate(drive, e_dd, gamma_per_ps=0.0,
-                                        tol=1e-8, lindblad_check=False)
-        return rep.phi_cond_rad - target_rad, rep.adiabatic
+    _, single, phi_single = _evolve_ground(
+        drive, *pulse_hamiltonian(LEVELS[2], drive.delta), CALIBRATION_TOL, True)
+    end_single = abs(single[-1, 1]) ** 2
+
+    def probe(e_dd: np.ndarray, adiabatic_only: bool = True):
+        """Offset from the target phase, and whether each point is usable."""
+        pairs = [pulse_hamiltonian(LEVELS[4], drive.delta, e / HBAR_MEV_PS) for e in e_dd]
+        _, states, phi_double = _evolve_ground(
+            drive, np.stack([h0 for h0, _ in pairs]), pairs[0][1], CALIBRATION_TOL,
+            adiabatic_only)
+        offset = phi_double - phi_single - phi_single - target_rad
+        end_excited = np.maximum(end_single, 1.0 - np.abs(states[:, -1, 0]) ** 2)
+        return offset, (end_excited < ADIABATIC_END_POP) & np.isfinite(offset)
+
+    def refine(a, fa, b, fb):
+        """Illinois false position inside the bracket [a, b]."""
+        kept = 0
+        while b - a > XTOL_MEV:
+            c = (a * fb - b * fa) / (fb - fa)
+            # like the root finder it replaced, this takes the phase at
+            # points inside the bracket whether or not they are adiabatic
+            offset, _ = probe(np.array([c]), adiabatic_only=False)
+            fc = float(offset[0])
+            if math.isnan(fc):
+                raise RuntimeError(f"phase undefined at e_dd = {c:.6f} meV "
+                                   f"inside the bracket")
+            if abs(fc) <= PHASE_TOL_PER_TOL * CALIBRATION_TOL:
+                return c
+            # halve the weight of an end kept twice running, so both ends move
+            if fa * fc < 0:
+                b, fb = c, fc
+                fa, kept = (fa / 2, -1) if kept == -1 else (fa, -1)
+            else:
+                a, fa = c, fc
+                fb, kept = (fb / 2, 1) if kept == 1 else (fb, 1)
+        return (a * fb - b * fa) / (fb - fa)
 
     grid = np.arange(lo, hi, SCAN_STEP_MEV)
     if grid[-1] < hi:
         grid = np.append(grid, hi)
 
     prev_e, prev_f, seen = None, None, []
-    for e in grid:
-        f, ok = probe(float(e))
-        if not ok:
-            prev_e = None
-            continue
-        seen.append(f + target_rad)
-        if abs(f) <= PHASE_TOL_RAD:
-            return float(e)
-        if prev_e is not None and prev_f * f < 0:
-            root = brentq(lambda x: probe(x)[0], prev_e, float(e), xtol=1e-4)
-            return float(root)
-        prev_e, prev_f = float(e), f
+    for start in range(0, len(grid), SCAN_CHUNK):
+        chunk = grid[start:start + SCAN_CHUNK]
+        for e, f, ok in zip(chunk.tolist(), *probe(chunk)):
+            if not ok:
+                prev_e = None
+                continue
+            seen.append(f + target_rad)
+            if abs(f) <= PHASE_TOL_RAD:
+                return e
+            if prev_e is not None and prev_f * f < 0:
+                return float(refine(prev_e, prev_f, e, f))
+            prev_e, prev_f = e, f
 
     if seen:
         msg = (f"target {target_rad:.4f} rad not bracketed; attainable phases "

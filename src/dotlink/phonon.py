@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import j0, roots_legendre
 
 from .dotmodel import DotConfig, MaterialConstants
 from .gatesim import PulsedDrive
@@ -72,6 +71,8 @@ BLOCK_NODES = 1 << 18
 
 @lru_cache(maxsize=16)
 def _polar_nodes(order: int):
+    from scipy.special import roots_legendre
+
     x, w = roots_legendre(order)          # cos(theta) nodes
     return x, np.sqrt(1.0 - x ** 2), w
 
@@ -83,6 +84,8 @@ def _spectral_density_at_order(model: PhononModel, deltas, order: int) -> np.nda
     + Dc^2 Fc^2 - 2 Dv Dc Fv Fc J0(k sin(t) |d_xy|) cos(k cos(t) d_z), with F the
     envelope amplitudes and d the hole center minus the electron center.
     """
+    from scipy.special import j0
+
     mat, hole, elec = model.material, model.hole, model.electron
     x, sin_t, w = _polar_nodes(order)
     # per node, the k^2 coefficient of each envelope amplitude's exponent

@@ -1,24 +1,38 @@
 """Small time-dependent quantum solvers used by the gate and readout models.
 
 Wraps scipy's RK45 for Schrodinger and Lindblad evolution of few-level
-systems.  States are plain complex vectors, density matrices plain complex
-arrays.  Norm and trace drift are recorded on the trajectory and never
-silently corrected; callers decide what drift is acceptable.
+systems with any Hamiltonian, and propagates H(t) = h0 + omega(t)*v, the
+form of every gate Hamiltonian, with a fixed-step 4th-order Magnus
+integrator batched over a stack of h0.  States are plain complex vectors,
+density matrices plain complex arrays.  Norm and trace drift are recorded
+on the trajectory and never silently corrected; callers decide what drift
+is acceptable.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-9
 # work budget per evolution, about 100x the 8,583 RHS calls of the default
 # 4-level gate solve; extreme drives hit it instead of running for minutes
 MAX_RHS_CALLS = 1_000_000
+# largest Magnus step count, 256x the 400 steps a default gate leg starts
+# from; extreme drives hit it instead of running for minutes
+MAX_MAGNUS_STEPS = 400 * 2 ** 8
+# Magnus step unitaries are built at most this many at a time (256 bytes
+# each for the 4-level pair), so their temporaries stay a few MB at any
+# batch or step count
+MAGNUS_BLOCK_STEPS = 1 << 13
+# a tracked amplitude needs this modulus at both ends for a meaningful phase
+MIN_PHASE_AMPLITUDE = 0.5
+# a phase increment this large between grid points may have wrapped
+MAX_PHASE_STEP = math.pi / 2
 # times at which each evolution spot-checks the Hamiltonian for hermiticity
 HERMITIAN_SAMPLES = 7
 
@@ -94,6 +108,8 @@ def _initial_state(y0, shape: tuple[int, ...], tol: float) -> np.ndarray:
 
 def _solve(rhs, support: tuple[float, float], y0: np.ndarray, tol: float):
     """RK45 over the support, raising RuntimeError past MAX_RHS_CALLS."""
+    from scipy.integrate import solve_ivp
+
     calls = 0
 
     def budgeted(t, y):
@@ -112,6 +128,12 @@ def _solve(rhs, support: tuple[float, float], y0: np.ndarray, tol: float):
     return sol
 
 
+def _check_norm(psi: np.ndarray):
+    err = abs(float(np.sum(np.abs(psi) ** 2)) - 1.0)
+    if err > NORM_TOL:
+        raise ValueError(f"state norm off by {err:.3e} (tol {NORM_TOL:.0e})")
+
+
 def evolve_schrodinger(ham: TimeDependentHamiltonian, psi0: np.ndarray,
                        tol: float = 1e-9) -> Trajectory:
     """Integrate i d|psi>/dt = H(t)|psi> over the Hamiltonian's support.
@@ -120,9 +142,7 @@ def evolve_schrodinger(ham: TimeDependentHamiltonian, psi0: np.ndarray,
     worst norm deviation recorded in norm_drift.
     """
     psi0 = _initial_state(psi0, (ham.dim,), tol)
-    err = abs(float(np.sum(np.abs(psi0) ** 2)) - 1.0)
-    if err > NORM_TOL:
-        raise ValueError(f"state norm off by {err:.3e} (tol {NORM_TOL:.0e})")
+    _check_norm(psi0)
     ham.check_hermitian()
 
     def rhs(t, y):
@@ -130,8 +150,80 @@ def evolve_schrodinger(ham: TimeDependentHamiltonian, psi0: np.ndarray,
 
     sol = _solve(rhs, ham.support, psi0, tol)
     states = sol.y.T
-    drift = float(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
-    return Trajectory(times=sol.t, states=states, norm_drift=drift)
+    return Trajectory(times=sol.t, states=states, norm_drift=norm_drift(states))
+
+
+def norm_drift(states: np.ndarray) -> float:
+    """Worst deviation of a state's norm from 1 over (..., dim) amplitudes."""
+    return float(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=-1) - 1.0)))
+
+
+# Gauss-Legendre nodes of one step, as fractions of it
+_GL_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+
+
+def magnus_propagate(h0: np.ndarray, v: np.ndarray, omega: Callable,
+                     support: tuple[float, float], psi0: np.ndarray,
+                     n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """States under H(t) = h0 + omega(t)*v on n_steps equal steps of the support.
+
+    h0 is one (d, d) Hamiltonian or a (B, d, d) stack, each propagated from
+    psi0; v is (d, d), and omega maps an array of times to drive amplitudes.
+    Each step is the 4th-order Magnus exponential exp(-i K) with
+    K = dt/2 (H1 + H2) + i (sqrt(3)/12) dt^2 [H1, H2] at the two
+    Gauss-Legendre nodes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
+    (2009)); the opposite sign of the commutator term is only 2nd order.
+    [H1, H2] = (omega2 - omega1) [h0, v], so the commutator is formed once.
+    Step unitaries come from batched eigh, MAGNUS_BLOCK_STEPS at a time.
+    Returns the n_steps + 1 grid times and states of shape (..., n_steps + 1, d).
+    """
+    h0 = np.asarray(h0, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    dim = v.shape[-1]
+    if v.shape != (dim, dim) or h0.shape[-2:] != (dim, dim) or h0.ndim > 3:
+        raise ValueError(f"h0 {h0.shape} and v {v.shape} are not (B,) d x d")
+    for name, h in (("h0", h0), ("v", v)):
+        if not np.array_equal(h, h.conj().swapaxes(-1, -2)):
+            raise ValueError(f"{name} not hermitian")
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (dim,):
+        raise ValueError(f"initial state shape {psi0.shape} != ({dim},)")
+    _check_norm(psi0)
+    if n_steps < 1:
+        raise ValueError(f"need at least one step, got {n_steps}")
+    if n_steps > MAX_MAGNUS_STEPS:
+        raise RuntimeError(
+            f"solver work budget exceeded ({MAX_MAGNUS_STEPS} Magnus steps)")
+    t0, t1 = support
+    if not t1 > t0:
+        raise ValueError(f"empty support ({t0}, {t1})")
+
+    stack = h0.reshape(-1, dim, dim)
+    comm = stack @ v - v @ stack
+    times = np.linspace(t0, t1, n_steps + 1)
+    dt = (t1 - t0) / n_steps
+    w1, w2 = (np.asarray(omega(times[:-1] + c * dt), dtype=float) for c in _GL_NODES)
+    # per step, broadcast over (batch, d, d)
+    mean_w = (0.5 * dt * (w1 + w2))[:, None, None, None]
+    comm_w = (1j * math.sqrt(3.0) / 12.0 * dt ** 2 * (w2 - w1))[:, None, None, None]
+
+    n_batch = len(stack)
+    states = np.empty((n_steps + 1, n_batch, dim, 1), dtype=complex)
+    states[0] = psi0[:, None]
+    per_batch = min(n_batch, MAGNUS_BLOCK_STEPS)
+    per_block = max(1, MAGNUS_BLOCK_STEPS // per_batch)
+    for b in range(0, n_batch, per_batch):
+        rows = slice(b, b + per_batch)
+        for s in range(0, n_steps, per_block):
+            steps = slice(s, s + per_block)
+            k = (dt * stack[None, rows] + mean_w[steps] * v
+                 + comm_w[steps] * comm[None, rows])
+            w, q = np.linalg.eigh(k)
+            u = (q * np.exp(-1j * w)[..., None, :]) @ q.conj().swapaxes(-1, -2)
+            for j, u_j in enumerate(u, start=s):
+                np.matmul(u_j, states[j, rows], out=states[j + 1, rows])
+    states = np.moveaxis(states[..., 0], 0, -2)
+    return times, states.reshape(h0.shape[:-2] + (n_steps + 1, dim))
 
 
 def evolve_lindblad(ham: TimeDependentHamiltonian,
@@ -178,17 +270,33 @@ def evolve_lindblad(ham: TimeDependentHamiltonian,
     return Trajectory(times=sol.t, states=states, norm_drift=drift)
 
 
+def phase_steps(amps: np.ndarray) -> np.ndarray:
+    """Principal-value phase increments along the last axis of amplitudes."""
+    return np.angle(amps[..., 1:] * amps[..., :-1].conj())
+
+
+def depleted(amps: np.ndarray) -> np.ndarray:
+    """Whether amplitude histories (last axis) end or start too empty for a phase."""
+    return np.minimum(np.abs(amps[..., 0]), np.abs(amps[..., -1])) <= MIN_PHASE_AMPLITUDE
+
+
 def accumulated_phase(traj: Trajectory, index: int) -> float:
     """Unwrapped phase gained by one basis amplitude over a pure trajectory.
 
     For a state parked on a diagonal level of energy E this equals -E*T/hbar.
-    The tracked component must stay populated at both ends (|amplitude| >
-    0.5); otherwise its phase is not meaningful and RuntimeError is raised.
+    It is the sum of the principal-value increments between grid points.
+    RuntimeError is raised when the tracked component is depleted at either
+    end (|amplitude| <= MIN_PHASE_AMPLITUDE), so its phase is not
+    meaningful, or when an increment exceeds MAX_PHASE_STEP, so the grid is
+    too coarse to unwrap.
     """
     amps = traj.amplitudes(index)
-    if abs(amps[0]) <= 0.5 or abs(amps[-1]) <= 0.5:
+    if depleted(amps):
         raise RuntimeError(
             f"component {index} too depleted for a phase "
             f"(|a| = {abs(amps[0]):.3f} start, {abs(amps[-1]):.3f} end)")
-    phases = np.unwrap(np.angle(amps))
-    return float(phases[-1] - phases[0])
+    steps = phase_steps(amps)
+    worst = float(np.max(np.abs(steps), initial=0.0))
+    if worst > MAX_PHASE_STEP:
+        raise RuntimeError(f"phase step of {worst:.3f} rad too coarse to unwrap")
+    return float(np.sum(steps))

@@ -2,7 +2,8 @@
 
 Everything here is derived by a different route than the library code:
 adiabatic quadratures via direct numerical integration of dressed-state
-eigenvalues, the swap channel via a brute-force 4-qubit density matrix,
+eigenvalues, gate phases via adaptive RK45 on Hamiltonians written out
+here (the library propagates with fixed-step Magnus), the swap channel via a brute-force 4-qubit density matrix,
 the phonon spectral density via the complex form factor summed over the
 whole sphere of phonon directions (and via a Bessel-function reduction of
 the azimuthal integral for an x-only offset, written apart from the
@@ -15,10 +16,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.special import j0, roots_legendre
 
-from dotlink.units import EV_SI, HBAR_SI
+from dotlink.units import EV_SI, HBAR_MEV_PS, HBAR_SI
 
 
 def single_dot_quadrature(drive) -> float:
@@ -42,6 +43,46 @@ def blockade_quadrature(drive) -> float:
     t0, t1 = drive.support()
     val, _ = quad(integrand, t0, t1, limit=400)
     return val
+
+
+# ---- gate phases by adaptive RK45 -------------------------------------------
+
+def _ground_phase_rk45(drive, h0: np.ndarray, v: np.ndarray, tol: float) -> float:
+    """Unwrapped phase of level 0 under h0 + omega(t) v, started in level 0,
+    from RK45 at rtol tol on steps of at most a 64th of the pulse support."""
+    def rhs(t, y):
+        return -1j * ((h0 + drive.omega(t) * v) @ y)
+
+    t0, t1 = drive.support()
+    y0 = np.zeros(len(h0), dtype=complex)
+    y0[0] = 1.0
+    sol = solve_ivp(rhs, (t0, t1), y0, method="RK45", rtol=tol,
+                    atol=max(tol * 1e-3, 1e-14), max_step=(t1 - t0) / 64.0)
+    assert sol.success, sol.message
+    return float(np.unwrap(np.angle(sol.y[0]))[-1])
+
+
+def gate_phases_rk45(drive, e_dd_mev: float, tol: float = 1e-10):
+    """(phi_cond, phase of input 01, phase of input 11) of the pulsed gate.
+
+    The single driven dot is {g, T}; the pair is {gg, Tg, gT, TT} with the
+    dipole-dipole shift on TT, or {gg, Tg, gT} when e_dd_mev is infinite.
+    A level with n trions sits at -n*delta and the drive couples levels one
+    trion apart with omega/2.
+    """
+    d = drive.delta
+    h_single = np.diag([0.0, -d]).astype(complex)
+    v_single = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+    if math.isinf(e_dd_mev):
+        h_pair = np.diag([0.0, -d, -d]).astype(complex)
+        v_pair = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=complex) / 2.0
+    else:
+        h_pair = np.diag([0.0, -d, -d, -2.0 * d + e_dd_mev / HBAR_MEV_PS]).astype(complex)
+        v_pair = np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]],
+                          dtype=complex) / 2.0
+    single = _ground_phase_rk45(drive, h_single, v_single, tol)
+    double = _ground_phase_rk45(drive, h_pair, v_pair, tol)
+    return double - 2.0 * single, single, double
 
 
 # ---- brute-force entanglement swap ----------------------------------------

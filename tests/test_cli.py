@@ -4,9 +4,12 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import dotlink
 from dotlink import PulsedDrive, qcore, simulate_conditional_gate
 from dotlink.cli import main
 
@@ -216,14 +219,17 @@ BAD_INPUTS = [
     (["repeater", "--set", "chain.n_trials=1"], 1, "configuration error"),
     # the Varshni slope vanishes at 0 K, which made dT_max infinite
     (["tune", "--set", "dot.t_op_k=0"], 1, "configuration error: dot: t_op_k"),
+    # and the Zeeman slope at g_x = 0, which divided dB_max by zero
+    (["tune", "--set", "dot.g_x=0"], 1, "configuration error: dot: g_x"),
 ]
 
 
 @pytest.mark.parametrize("argv,code,prefix", BAD_INPUTS)
 def test_bad_input_exit_codes(tmp_path, capsys, monkeypatch, argv, code, prefix):
-    # a budget of 10k RHS calls still covers the default gate's 8.6k-call
-    # solve and stops the extreme drives in a tenth of a second.  At the real
-    # budget delta = 1e3 completes instead: its three solves need ~0.5M each.
+    # a budget of 10k RHS calls stops the Lindblad check of the extreme
+    # detunings in a tenth of a second; at the real budget delta = 1e3
+    # completes instead, its Lindblad solve needing ~0.5M calls.  The other
+    # extreme drives run past the Magnus step cap, in about a second.
     monkeypatch.setattr(qcore, "MAX_RHS_CALLS", 10_000)
     assert main(argv + ["--out", str(tmp_path)]) == code
     err = capsys.readouterr().err
@@ -242,3 +248,18 @@ def test_out_path_is_a_file(tmp_path, capsys):
     taken.write_text("")
     assert main(["tune", "--out", str(taken)]) == 1
     assert capsys.readouterr().err.startswith("output error")
+
+
+def test_light_runs_load_no_scipy_solvers():
+    # these scipy modules take about 1 s to import; only the Lindblad check
+    # and the phonon quadrature need them, and they import them on first use
+    code = ("import math, sys\n"
+            "import dotlink, dotlink.cli\n"
+            "dotlink.calibrate_phase(dotlink.PulsedDrive(), math.pi)\n"
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize',"
+            " 'scipy.special') if m in sys.modules))\n")
+    src = os.path.dirname(os.path.dirname(dotlink.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -73,9 +73,11 @@ def test_control_precision_values():
 
 
 def test_control_precision_degenerate_slope():
-    # a zero Varshni slope would make the temperature tolerance infinite
+    # a zero Varshni or Zeeman slope would make a tolerance infinite
     with pytest.raises(ValueError, match="t_op_k must be positive"):
         DotConfig(t_op_k=0.0)
+    with pytest.raises(ValueError, match="g_x must be nonzero"):
+        DotConfig(g_x=0.0)
     with pytest.raises(ValueError, match="varshni alpha and beta must be positive"):
         dataclasses.replace(GAAS, varshni_alpha_mev_k=0.0)
 

@@ -14,10 +14,11 @@ from dotlink import (
     raman_gate_error,
     simulate_conditional_gate,
 )
+from dotlink import qcore
 from dotlink.gatesim import (LEVELS, _sink_hamiltonian, excited_population,
                              pulse_hamiltonian)
 from dotlink.units import HBAR_MEV_PS
-from oracles import blockade_quadrature
+from oracles import blockade_quadrature, gate_phases_rk45
 
 DRIVE = PulsedDrive()  # omega0 = 1 rad/ps, tau = 11 ps, delta = 0.75 rad/ps
 
@@ -197,8 +198,40 @@ def test_calibrate_pi_phase():
     assert abs(check.phi_cond_rad - math.pi) <= 1e-3
 
 
+def test_calibration_brackets_rk45_root():
+    # the oracle's phase crosses pi within 1e-4 meV of the calibrated e_dd
+    e_star = calibrate_phase(DRIVE, math.pi)
+    below = gate_phases_rk45(DRIVE, e_star - 1e-4)[0]
+    above = gate_phases_rk45(DRIVE, e_star + 1e-4)[0]
+    assert (below - math.pi) * (above - math.pi) < 0
+
+
+def test_calibration_step_count_ignores_skipped_points(monkeypatch):
+    # at e_dd = 0.95 meV the ground amplitude of this drive passes within
+    # 6e-4 of zero mid-pulse, and unwrapping its phase takes 25,600 steps;
+    # the point is not adiabatic, so the scan skips it and must not refine it
+    drive = PulsedDrive(delta=0.7377, tau_ps=11.3077)
+    monkeypatch.setattr(qcore, "MAX_MAGNUS_STEPS", 1600)
+    assert abs(calibrate_phase(drive, 3.045682) - 1.48948) <= 1e-4
+    with pytest.raises(RuntimeError, match="work budget"):
+        simulate_conditional_gate(drive, 0.95, lindblad_check=False)
+
+
+@pytest.mark.parametrize("e_dd", [0.5, 1.4446, 3.0, 5.0, 50.0, math.inf])
+def test_gate_phases_match_rk45_oracle(e_dd):
+    rep = simulate_conditional_gate(DRIVE, e_dd, lindblad_check=False)
+    phi, single, double = gate_phases_rk45(DRIVE, e_dd)
+    assert abs(rep.phi_cond_rad - phi) <= 1e-6
+    assert abs(rep.phase_single_rad - single) <= 1e-6
+    assert abs(rep.phase_double_rad - double) <= 1e-6
+
+
 def test_calibrate_unreachable_target():
     with pytest.raises(RuntimeError, match="attainable"):
         calibrate_phase(DRIVE, 50.0, e_dd_range=(4.8, 5.2))
+    # at delta = 1 the pair's ground amplitude empties near e_dd = 1.25 meV;
+    # those scan points count as non-adiabatic, and pi lies across that window
+    with pytest.raises(RuntimeError, match="attainable"):
+        calibrate_phase(PulsedDrive(delta=1.0), math.pi)
     with pytest.raises(ValueError):
         calibrate_phase(DRIVE, math.pi, e_dd_range=(5.0, 2.0))

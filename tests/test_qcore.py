@@ -9,12 +9,14 @@ from dotlink import qcore
 from dotlink import (
     PulsedDrive,
     TimeDependentHamiltonian,
+    Trajectory,
     accumulated_phase,
     basis_state,
     evolve_lindblad,
     evolve_schrodinger,
     pure_density,
 )
+from dotlink.units import HBAR_MEV_PS
 from oracles import single_dot_quadrature
 
 
@@ -31,6 +33,18 @@ def single_dot_hamiltonian(drive):
         return np.array([[0.0, om / 2.0], [om / 2.0, -drive.delta]], dtype=complex)
 
     return TimeDependentHamiltonian(2, h, support=drive.support())
+
+
+def pair_hamiltonian(delta, e_dd_mev):
+    # (h0, v) of the driven pair {gg, Tg, gT, TT}, with the dipole shift on TT
+    h0 = np.diag([0.0, -delta, -delta, -2.0 * delta + e_dd_mev / HBAR_MEV_PS])
+    v = np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]]) / 2.0
+    return h0.astype(complex), v.astype(complex)
+
+
+def magnus_states(drive, h0, v, n_steps):
+    return qcore.magnus_propagate(h0, v, drive.omega, drive.support(),
+                                  basis_state(v.shape[0], 0), n_steps)
 
 
 def test_rabi_populations_match_closed_form():
@@ -77,6 +91,10 @@ def test_nonhermitian_hamiltonian_rejected():
         ham.check_hermitian()
     with pytest.raises(ValueError):
         evolve_schrodinger(ham, basis_state(2, 0))
+    with pytest.raises(ValueError, match="h0 not hermitian"):
+        magnus_states(PulsedDrive(), h, np.eye(2), 10)
+    with pytest.raises(ValueError, match="v not hermitian"):
+        magnus_states(PulsedDrive(), np.eye(2), h, 10)
 
 
 def test_state_validation():
@@ -89,6 +107,11 @@ def test_state_validation():
     def mixed(rho0):
         return lambda: evolve_lindblad(ham, [(jump, 0.01)], rho0)
 
+    def magnus(psi0, n_steps=10):
+        h0, v = pair_hamiltonian(0.75, 5.0)
+        return lambda: qcore.magnus_propagate(h0, v, PulsedDrive().omega, (-1.0, 1.0),
+                                              psi0, n_steps)
+
     bad_inputs = [
         (pure([1.0, 1.0]), "state norm off"),
         (pure([1.0, 0.0, 0.0]), "initial state shape"),
@@ -100,6 +123,9 @@ def test_state_validation():
         (mixed([[1.5, 0.0], [0.0, -0.5]]), "negative eigenvalue"),
         (mixed(basis_state(2, 0)), "initial state shape"),
         (mixed(pure_density(basis_state(3, 0))), "initial state shape"),
+        (magnus([1.0, 1.0, 0.0, 0.0]), "state norm off"),
+        (magnus(basis_state(2, 0)), "initial state shape"),
+        (magnus(basis_state(4, 0), n_steps=0), "at least one step"),
     ]
     for call, message in bad_inputs:
         with pytest.raises(ValueError, match=message):
@@ -125,6 +151,14 @@ def test_accumulated_phase_rejects_depleted_component():
     ham = TimeDependentHamiltonian(2, lambda t: h, support=(0.0, math.pi / omega))
     traj = evolve_schrodinger(ham, basis_state(2, 0))
     with pytest.raises(RuntimeError, match="too depleted"):
+        accumulated_phase(traj, 0)
+
+
+def test_accumulated_phase_rejects_coarse_grid():
+    # one step of 2 rad could as well have been 2 - 2 pi: too coarse to unwrap
+    traj = Trajectory(times=np.array([0.0, 1.0]),
+                      states=np.array([[1.0, 0.0], [np.exp(-2j), 0.0]]))
+    with pytest.raises(RuntimeError, match="too coarse"):
         accumulated_phase(traj, 0)
 
 
@@ -165,6 +199,44 @@ def test_work_budget_stops_long_solves(monkeypatch):
         evolve_schrodinger(ham, basis_state(2, 0))
     with pytest.raises(RuntimeError, match="work budget"):
         evolve_lindblad(ham, [(jump, 0.01)], pure_density(basis_state(2, 0)))
+    monkeypatch.setattr(qcore, "MAX_MAGNUS_STEPS", 399)
+    with pytest.raises(RuntimeError, match="work budget"):
+        magnus_states(PulsedDrive(), *pair_hamiltonian(0.75, 5.0), 400)
+
+
+@pytest.mark.parametrize("e_dd", [1.4446, 5.0])
+def test_magnus_is_fourth_order(e_dd):
+    # halving the step cuts the error 16-fold; with the commutator term's
+    # sign flipped the method is 2nd order and the ratio is 4
+    drive = PulsedDrive()
+    h0, v = pair_hamiltonian(drive.delta, e_dd)
+
+    def phase(n_steps):
+        return accumulated_phase(Trajectory(*magnus_states(drive, h0, v, n_steps)), 0)
+
+    exact = phase(12800)
+    err = [abs(phase(n) - exact) for n in (400, 800)]
+    assert err[0] / err[1] >= 12.0
+
+
+def test_magnus_batch_matches_single_runs():
+    drive = PulsedDrive()
+    pairs = [pair_hamiltonian(drive.delta, e) for e in (0.5, 1.4446, 5.0)]
+    v = pairs[0][1]
+    _, batch = magnus_states(drive, np.stack([h0 for h0, _ in pairs]), v, 400)
+    assert batch.shape == (3, 401, 4)
+    for (h0, _), states in zip(pairs, batch):
+        assert np.max(np.abs(magnus_states(drive, h0, v, 400)[1] - states)) <= 1e-13
+
+
+def test_magnus_blocks_do_not_change_results(monkeypatch):
+    drive = PulsedDrive()
+    h0 = np.stack([pair_hamiltonian(drive.delta, e)[0] for e in (0.5, 1.4446, 5.0)])
+    v = pair_hamiltonian(drive.delta, 0.0)[1]
+    whole = magnus_states(drive, h0, v, 400)[1]
+    # two step matrices per block split the batch as well as the steps
+    monkeypatch.setattr(qcore, "MAGNUS_BLOCK_STEPS", 2)
+    assert np.array_equal(magnus_states(drive, h0, v, 400)[1], whole)
 
 
 def test_tolerance_halving_stability():
