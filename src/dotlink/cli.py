@@ -28,7 +28,8 @@ from .config import ExperimentConfig, config_from_dict, derive_rng, load_config
 from .dotmodel import (addressing_plan, control_precision, dipole_dipole_energy,
                        photon_energies, varshni_shift, varshni_slope)
 from .gatesim import excited_population, raman_gate_error, simulate_conditional_gate
-from .phonon import min_separation, model_from_dot, phonon_error, spectral_density
+from .phonon import (error_from_density, min_separation, model_from_dot, phonon_error,
+                     spectral_density)
 from .photonlink import (bsa_coincidence, dephasing_error, link_attempt_stats,
                          overlap_error_small_mismatch, photon_efficiency,
                          sample_link_times, wavepacket_overlap_error)
@@ -97,8 +98,10 @@ def run_phonon(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
     model = model_from_dot(cfg.dot, cfg.material, order=ps.order)
     grid = np.arange(ps.delta_min_mev, ps.delta_max_mev + ps.delta_step_mev / 2,
                      ps.delta_step_mev)
-    j = spectral_density(model, grid)
-    eps = phonon_error(model, cfg.drive, grid)
+    # the grid and e_s in one call: J once per detuning, the error derived from it
+    deltas = np.append(grid, ps.e_s_mev)
+    j = spectral_density(model, deltas)
+    eps = error_from_density(cfg.drive, deltas, j)
     table = _write_csv(outdir, "phonon_table.csv",
                        ["delta_mev", "spectral_density_per_ps", "phonon_error"],
                        [(f"{d:.4f}", f"{jd:.9e}", f"{ed:.9e}")
@@ -107,8 +110,8 @@ def run_phonon(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
         "material": cfg.material.name,
         "order": ps.order,
         "e_s_mev": ps.e_s_mev,
-        "j_at_e_s_per_ps": spectral_density(model, ps.e_s_mev),
-        "error_at_e_s": phonon_error(model, cfg.drive, ps.e_s_mev),
+        "j_at_e_s_per_ps": float(j[-1]),
+        "error_at_e_s": float(eps[-1]),
         "pulse_sq_integral_rad2_ps": cfg.drive.omega_sq_integral(),
         "error_budget": ps.error_budget,
         "min_separation_mev": min_separation(model, cfg.drive, ps.error_budget),

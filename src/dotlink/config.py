@@ -28,7 +28,7 @@ from .photonlink import LinkBudget
 from .readout import ReadoutConfig
 from .repeater import ChainConfig
 
-# the phonon table evaluates J twice per grid point
+# the phonon table evaluates J once per grid point
 MAX_GRID_POINTS = 10_000
 
 

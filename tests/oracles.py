@@ -7,7 +7,8 @@ here (the library propagates with fixed-step Magnus), the swap channel via a bru
 the phonon spectral density via the complex form factor summed over the
 whole sphere of phonon directions (and via a Bessel-function reduction of
 the azimuthal integral for an x-only offset, written apart from the
-library's), and repeater completion-time quantiles from the exact
+library's), Gauss-Legendre rules from mpmath's Legendre functions in
+extended precision, and repeater completion-time quantiles from the exact
 distribution of the slowest elementary link.
 """
 
@@ -216,19 +217,20 @@ def form_factor(model, k_per_nm):
             - model.material.d_c_ev * _envelope_transform(model.electron, kx, ky, kz))
 
 
-def spectral_density_sphere(model, delta_mev: float, order: int) -> float:
+def spectral_density_sphere(model, delta_mev: float, order: int, nodes=None) -> float:
     """J(delta) in 1/ps from |D(k)|^2 summed over the whole sphere.
 
     Gauss-Legendre in cos(theta) with `order` nodes times a trapezoid rule
     with max(64, order) azimuths, applied to the complex form factor with
     each envelope's full Fourier transform, phase included: any centers and
-    widths, no analytic reduction.
+    widths, no analytic reduction.  `nodes`, a (cos(theta), weight) pair,
+    replaces scipy's order-node polar rule.
     """
     mat = model.material
     delta_j = delta_mev * 1e-3 * EV_SI
     k = delta_j / (HBAR_SI * mat.c_s_m_s) * 1e-9  # 1/nm
 
-    x, wts = roots_legendre(order)
+    x, wts = roots_legendre(order) if nodes is None else nodes
     m = max(64, order)
     phi = 2.0 * math.pi * np.arange(m) / m
     sin_t = np.sqrt(1.0 - x ** 2)
@@ -240,6 +242,37 @@ def spectral_density_sphere(model, delta_mev: float, order: int) -> float:
     j_per_s = delta_j ** 3 * integral_j2 / (16.0 * math.pi ** 3 * mat.rho_kg_m3
                                             * mat.c_s_m_s ** 5 * HBAR_SI ** 4)
     return j_per_s * 1e-12
+
+
+# ---- Gauss-Legendre rule in extended precision ------------------------------
+
+def gauss_legendre_mpmath(n: int, dps: int = 30):
+    """Positive nodes (ascending) and their weights of the n-point
+    Gauss-Legendre rule for even n, rounded to double from `dps`-digit
+    arithmetic.
+
+    Newton's method on mpmath's hypergeometric P_n from cos(pi (i - 1/4) /
+    (n + 1/2)); weights 2 (1 - x^2) / (n P_{n-1}(x))^2.  mpmath is imported
+    here, so the benchmark's references, which load this module, do not need it.
+    """
+    import mpmath
+
+    nodes, weights = [], []
+    with mpmath.workdps(dps):
+        tol = mpmath.mpf(10) ** (4 - dps)
+        for i in range(n // 2, 0, -1):
+            x = mpmath.cos(mpmath.pi * (i - mpmath.mpf(1) / 4) / (n + mpmath.mpf(1) / 2))
+            for _ in range(50):
+                p, q = mpmath.legendre(n, x), mpmath.legendre(n - 1, x)
+                step = p * (x * x - 1) / (n * (x * p - q))
+                x -= step
+                if abs(step) < tol:
+                    break
+            else:
+                raise RuntimeError(f"root {i} of P_{n} not converged")
+            nodes.append(float(x))
+            weights.append(float(2 * (1 - x * x) / (n * mpmath.legendre(n - 1, x)) ** 2))
+    return np.array(nodes), np.array(weights)
 
 
 # ---- exact repeater completion-time quantiles ------------------------------

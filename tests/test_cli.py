@@ -7,11 +7,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import dotlink
-from dotlink import PulsedDrive, qcore, simulate_conditional_gate
+from dotlink import PulsedDrive, cli, phonon, qcore, simulate_conditional_gate
 from dotlink.cli import main
+from dotlink.phonon import spectral_density
 
 
 def run(tmp_path, sub, *extra, seed=None):
@@ -128,6 +130,32 @@ def test_phonon_run_and_unattainable_budget(tmp_path, capsys):
     # impossible budget surfaces as a numerical failure
     assert run(tmp_path, "phonon", "--set", "phonon.error_budget=1e-40") == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_phonon_run_evaluates_j_once_per_detuning(tmp_path, monkeypatch):
+    sizes = []
+
+    def counted(model, delta_mev):
+        sizes.append(np.size(delta_mev))
+        return spectral_density(model, delta_mev)
+
+    monkeypatch.setattr(cli, "spectral_density", counted)
+    monkeypatch.setattr(phonon, "spectral_density", counted)
+    monkeypatch.setattr(cli, "min_separation", lambda *args: 7.37)
+    assert run(tmp_path, "phonon") == 0
+    assert sizes == [59 + 1]   # the grid and e_s
+
+
+def test_phonon_extreme_separations_give_zero(tmp_path):
+    # at a huge e_s J is exactly 0; the run must neither warn nor climb the orders
+    assert run(tmp_path, "phonon", "--set", "phonon.e_s_mev=1e300") == 0
+    rep = read_json(tmp_path, "phonon_report.json")
+    assert rep["j_at_e_s_per_ps"] == 0.0 and rep["error_at_e_s"] == 0.0
+    assert run(tmp_path, "sweep", "--param", "phonon.e_s_mev", "--values", "7.5,1e300") == 0
+    assert float(read_rows(tmp_path, "sweep.csv")[2][1]) == 0.0
+    # at a tiny one J underflows; the error must not become 0 * inf = NaN
+    assert run(tmp_path, "phonon", "--set", "phonon.e_s_mev=1e-300") == 0
+    assert read_json(tmp_path, "phonon_report.json")["error_at_e_s"] == 0.0
 
 
 def test_repeater_run(tmp_path):
@@ -250,16 +278,20 @@ def test_out_path_is_a_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("output error")
 
 
-def test_light_runs_load_no_scipy_solvers():
-    # these scipy modules take about 1 s to import; only the Lindblad check
-    # and the phonon quadrature need them, and they import them on first use
+def test_light_runs_load_no_scipy_solvers(tmp_path):
+    # scipy takes 0.3 to 1 s to import, and only the gate's Lindblad check
+    # needs it (scipy.integrate, imported on first use): a calibration, a
+    # phonon run and a phonon sweep load no scipy module at all
     code = ("import math, sys\n"
             "import dotlink, dotlink.cli\n"
             "dotlink.calibrate_phase(dotlink.PulsedDrive(), math.pi)\n"
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize',"
-            " 'scipy.special') if m in sys.modules))\n")
+            f"out = {str(tmp_path)!r}\n"
+            "assert dotlink.cli.main(['phonon', '--out', out]) == 0\n"
+            "assert dotlink.cli.main(['sweep', '--param', 'phonon.e_s_mev',"
+            " '--values', '5,7.5', '--out', out]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = os.path.dirname(os.path.dirname(dotlink.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.strip().splitlines()[-1] == "[]"

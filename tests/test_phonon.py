@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import j0, roots_legendre
 
 from dotlink import DotConfig, PulsedDrive, phonon
 from dotlink.dotmodel import GAAS, ZNSE
@@ -15,13 +16,16 @@ from dotlink.phonon import (
     MAX_QUADRATURE_ORDER,
     EnvelopeWavefunction,
     PhononModel,
+    _polar_nodes,
     _spectral_density_at_order,
+    bessel_j0,
     min_separation,
     model_from_dot,
     phonon_error,
     spectral_density,
 )
-from oracles import form_factor, spectral_density_bessel, spectral_density_sphere
+from oracles import (form_factor, gauss_legendre_mpmath, spectral_density_bessel,
+                     spectral_density_sphere)
 
 MODEL = model_from_dot(DotConfig(), GAAS)
 DRIVE = PulsedDrive()
@@ -68,12 +72,49 @@ def test_form_factor_against_direct_quadrature():
         assert abs(form_factor(MODEL, k) - direct) <= 1e-6 * abs(direct)
 
 
+def test_bessel_j0_matches_scipy():
+    z = np.concatenate((np.geomspace(1e-300, 1.0, 301), np.linspace(0.0, 100.0, 100_001),
+                        np.geomspace(100.0, 1e8, 1001), [1e200, np.finfo(float).max]))
+    assert np.max(np.abs(bessel_j0(z) - j0(z))) <= 2e-15
+    assert np.array_equal(bessel_j0(-z), bessel_j0(z))
+    assert bessel_j0(0.0) == 1.0
+
+
+@pytest.mark.parametrize("order", [16, 17, 128, 255, 256, 512, 1024, 2048, 4096])
+def test_polar_rule_matches_scipy_nodes(order):
+    x, sin_t, w = _polar_nodes(order)
+    assert np.max(np.abs(x - roots_legendre(order)[0])) <= 1e-15
+    assert abs(w.sum() - 2.0) <= 1e-14
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert np.array_equal(sin_t, np.sqrt(1.0 - x ** 2))
+
+
+def test_polar_rule_matches_mpmath():
+    # end nodes included: there scipy's weights are 1.3e-10 off
+    x, _, w = _polar_nodes(256)
+    ref_x, ref_w = gauss_legendre_mpmath(256)
+    assert np.max(np.abs(x[128:] - ref_x)) <= 2e-16
+    assert np.max(np.abs(w[128:] / ref_w - 1.0)) <= 2e-12
+
+
 def test_spectral_density_zero_and_positivity():
     assert spectral_density(MODEL, 0.0) == 0.0
     for delta in (0.5, 2.0, 7.5):
         assert spectral_density(MODEL, delta) > 0.0
     with pytest.raises(ValueError):
         spectral_density(MODEL, -1.0)
+
+
+def test_spectral_density_zero_at_huge_detuning():
+    # past ~120 meV every envelope factor underflows at every node, so the
+    # quadrature itself gives exactly 0; far beyond, k and delta^3 overflow
+    assert np.all(_spectral_density_at_order(MODEL, np.array([150.0, 1e3]), 128) == 0.0)
+    deltas = np.array([150.0, 1e3, 1e300, np.finfo(float).max])
+    assert np.all(spectral_density(MODEL, deltas) == 0.0)
+    assert spectral_density(MODEL, 1e300) == 0.0
+    assert phonon_error(MODEL, DRIVE, 1e300) == 0.0
+    # and at a tiny separation J underflows while delta^2 would
+    assert phonon_error(MODEL, DRIVE, 1e-300) == 0.0
 
 
 def test_spectral_density_reference_value():
@@ -104,8 +145,9 @@ def test_spectral_density_matches_sphere_rule_general_offset(mat):
                         EnvelopeWavefunction(3.0, 1.5, (3.0, 2.0, 1.5)))
     for delta in (1.0, 5.0, 7.5, 12.0):
         # same polar nodes: the analytic azimuth is exact
+        x, _, w = _polar_nodes(256)
         same = _spectral_density_at_order(model, delta, 256)
-        assert abs(same - spectral_density_sphere(model, delta, 256)) <= 1e-12 * same
+        assert abs(same - spectral_density_sphere(model, delta, 256, (x, w))) <= 1e-12 * same
         j = spectral_density(model, delta)
         ref = spectral_density_sphere(model, delta, 512)
         assert abs(j - ref) <= 1e-9 * ref
