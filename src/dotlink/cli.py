@@ -76,8 +76,7 @@ def _report_fields(report) -> dict:
 
 def run_gate(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
     gamma = 1.0 / cfg.dot.t_rad_ps
-    report = simulate_conditional_gate(cfg.drive, cfg.gate.e_dd_mev,
-                                       gamma_per_ps=gamma, tol=cfg.gate.tol)
+    report = simulate_conditional_gate(cfg.drive, cfg.gate.e_dd_mev, gamma_per_ps=gamma)
     payload = {**_report_fields(report), "drive": dataclasses.asdict(cfg.drive),
                "raman_gate_error": raman_gate_error(cfg.raman)}
     written = [_write_json(outdir, "gate_report.json", payload)]
@@ -95,20 +94,16 @@ def run_gate(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
 
 def run_phonon(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
     ps = cfg.phonon
-    model = model_from_dot(cfg.dot, cfg.material, order=ps.order)
+    model = model_from_dot(cfg.dot, cfg.material)
     grid = np.arange(ps.delta_min_mev, ps.delta_max_mev + ps.delta_step_mev / 2,
                      ps.delta_step_mev)
     # the grid and e_s in one call: J once per detuning, the error derived from it
     deltas = np.append(grid, ps.e_s_mev)
     j = spectral_density(model, deltas)
     eps = error_from_density(cfg.drive, deltas, j)
-    table = _write_csv(outdir, "phonon_table.csv",
-                       ["delta_mev", "spectral_density_per_ps", "phonon_error"],
-                       [(f"{d:.4f}", f"{jd:.9e}", f"{ed:.9e}")
-                        for d, jd, ed in zip(grid, j, eps)])
+    # all computed before the first write, so a numerical failure writes nothing
     payload = {
         "material": cfg.material.name,
-        "order": ps.order,
         "e_s_mev": ps.e_s_mev,
         "j_at_e_s_per_ps": float(j[-1]),
         "error_at_e_s": float(eps[-1]),
@@ -116,7 +111,10 @@ def run_phonon(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
         "error_budget": ps.error_budget,
         "min_separation_mev": min_separation(model, cfg.drive, ps.error_budget),
     }
-    written = [_write_json(outdir, "phonon_report.json", payload), table]
+    rows = [(f"{d:.4f}", f"{jd:.9e}", f"{ed:.9e}") for d, jd, ed in zip(grid, j, eps)]
+    written = [_write_json(outdir, "phonon_report.json", payload),
+               _write_csv(outdir, "phonon_table.csv",
+                          ["delta_mev", "spectral_density_per_ps", "phonon_error"], rows)]
     print(f"phonon error at {ps.e_s_mev} meV = {payload['error_at_e_s']:.4e}, "
           f"min separation for {ps.error_budget} = {payload['min_separation_mev']:.2f} meV")
     return written
@@ -241,15 +239,14 @@ def run_sweep(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
 
     rows = []
     if args.param == "phonon.e_s_mev":
-        model = model_from_dot(cfg.dot, cfg.material, order=cfg.phonon.order)
+        model = model_from_dot(cfg.dot, cfg.material)
         header = ["e_s_mev", "phonon_error"]
         rows = [(f"{v:.6g}", f"{e:.9e}")
                 for v, e in zip(values, phonon_error(model, cfg.drive, np.array(values)))]
     elif args.param == "gate.e_dd_mev":
         header = ["e_dd_mev", "phi_cond_rad", "adiabatic"]
         for v in values:
-            rep = simulate_conditional_gate(cfg.drive, v, gamma_per_ps=0.0,
-                                            tol=cfg.gate.tol, lindblad_check=False)
+            rep = simulate_conditional_gate(cfg.drive, v, lindblad_check=False)
             rows.append((f"{v:.6g}", f"{rep.phi_cond_rad:.9f}", int(rep.adiabatic)))
     else:
         header = ["delta_e_uev", "overlap_error"]

@@ -23,7 +23,6 @@ import numpy as np
 
 from .dotmodel import MATERIAL_PRESETS, DotConfig, MaterialConstants
 from .gatesim import PulsedDrive, RamanConfig
-from .phonon import MAX_QUADRATURE_ORDER
 from .photonlink import LinkBudget
 from .readout import ReadoutConfig
 from .repeater import ChainConfig
@@ -34,7 +33,6 @@ MAX_GRID_POINTS = 10_000
 
 @dataclass
 class PhononSettings:
-    order: int = 128
     e_s_mev: float = 7.5
     e_w_mev: float = 15.0
     error_budget: float = 0.0014
@@ -43,8 +41,6 @@ class PhononSettings:
     delta_step_mev: float = 0.25
 
     def __post_init__(self):
-        if not 16 <= self.order <= MAX_QUADRATURE_ORDER:
-            raise ValueError(f"order must be in [16, {MAX_QUADRATURE_ORDER}]")
         if self.e_s_mev <= 0 or self.e_w_mev <= 0:
             raise ValueError("e_s_mev and e_w_mev must be positive")
         if self.error_budget <= 0:
@@ -61,11 +57,8 @@ class GateSettings:
     # blockade, the one infinite value the loader accepts
     e_dd_mev: float = field(default=5.0, metadata={"allow_inf": True})
     r_dd_nm: float = 10.0        # dot separation for the dipole-dipole estimate
-    tol: float = 1e-9
 
     def __post_init__(self):
-        if not 0.0 < self.tol <= 1e-3:
-            raise ValueError("tol must be in (0, 1e-3]")
         if self.r_dd_nm <= 0:
             raise ValueError("r_dd_nm must be positive")
 

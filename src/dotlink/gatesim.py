@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import (MAX_PHASE_STEP, TimeDependentHamiltonian, Trajectory,
-                    accumulated_phase, basis_state, depleted, evolve_lindblad,
-                    magnus_propagate, norm_drift, phase_steps, pure_density)
+from .qcore import (MAX_PHASE_STEP, TimeDependentHamiltonian, Trajectory, basis_state,
+                    depleted, evolve_lindblad, magnus_propagate, norm_drift,
+                    phase_steps, pure_density)
 from .units import HBAR_MEV_PS
 
 # pulse support: clip where the envelope falls to 1e-6 of its peak
@@ -42,6 +42,13 @@ class PulsedDrive:
             raise ValueError("omega0 must be nonnegative")
         if self.tau_ps <= 0:
             raise ValueError("tau_ps must be positive")
+        try:
+            area = self.omega_sq_integral()
+        except OverflowError:
+            area = math.inf
+        if not math.isfinite(area):
+            raise ValueError(f"omega0 = {self.omega0} and tau_ps = {self.tau_ps} give a pulse "
+                             f"area omega0^2 * tau_ps * sqrt(pi/2) that is not a finite float")
 
     def omega(self, t_ps):
         return self.omega0 * np.exp(-(t_ps / self.tau_ps) ** 2)
@@ -222,6 +229,26 @@ def _evolve_ground(drive: PulsedDrive, h0: np.ndarray, v: np.ndarray, tol: float
         n_steps *= 2
 
 
+def _pair_gate(drive: PulsedDrive, single, e_dd_mev: np.ndarray, tol: float,
+               adiabatic_only: bool = False):
+    """The pair propagated at each e_dd and combined with the single-dot leg.
+
+    single is _evolve_ground's (times, states, phase) for one dot; e_dd_mev
+    is a 1-D array, all finite or all infinite (the perfect blockade).
+    Returns the pair's grid, states and phases, and per e_dd phi_cond, the
+    largest end-of-pulse excited population and whether it is adiabatic.
+    """
+    levels = LEVELS[3] if np.all(np.isinf(e_dd_mev)) else LEVELS[4]
+    pairs = [pulse_hamiltonian(levels, drive.delta, e / HBAR_MEV_PS) for e in e_dd_mev]
+    times, states, phases = _evolve_ground(
+        drive, np.stack([h0 for h0, _ in pairs]), pairs[0][1], tol, adiabatic_only)
+    _, single_states, phi_single = single
+    # the four inputs 11 - 01 - 10 + 00, summed in that order
+    phi_cond = phases - phi_single - phi_single + 0.0
+    end_excited = np.maximum(abs(single_states[-1, 1]) ** 2, 1.0 - np.abs(states[:, -1, 0]) ** 2)
+    return times, states, phases, phi_cond, end_excited, end_excited < ADIABATIC_END_POP
+
+
 def simulate_conditional_gate(drive: PulsedDrive, e_dd_mev: float,
                               gamma_per_ps: float = 0.0, tol: float = 1e-9,
                               lindblad_check: bool = True) -> GateReport:
@@ -232,54 +259,44 @@ def simulate_conditional_gate(drive: PulsedDrive, e_dd_mev: float,
     where that level is projected out.  gamma_per_ps only scales the error
     bookkeeping; the coherent evolution is always unitary.  tol sets the
     step doubling of each input's propagation (see _evolve_ground).
+    Either leg's ground amplitude depleted at an end raises RuntimeError.
     """
     if gamma_per_ps < 0:
         raise ValueError("gamma_per_ps must be nonnegative")
     if not 0.0 < tol <= 1e-3:
         raise ValueError(f"tol must be in (0, 1e-3], got {tol}")
 
-    def evolve(levels, shift=0.0):
-        h0, v = pulse_hamiltonian(levels, drive.delta, shift)
-        times, states, _ = _evolve_ground(drive, h0, v, tol)
-        return Trajectory(times=times, states=states, norm_drift=norm_drift(states))
-
-    traj_single = evolve(LEVELS[2])
-    if math.isinf(e_dd_mev):
-        traj_double = evolve(LEVELS[3])
-    else:
-        traj_double = evolve(LEVELS[4], e_dd_mev / HBAR_MEV_PS)
-    end_excited_double = 1.0 - float(traj_double.populations(0)[-1])
-
-    exposure_single = float(np.trapezoid(excited_population(traj_single),
-                                         traj_single.times))
-    exposure_double = float(np.trapezoid(excited_population(traj_double),
-                                         traj_double.times))
-
-    phi_single = accumulated_phase(traj_single, 0)
-    phi_double = accumulated_phase(traj_double, 0)
-
-    end_excited = max(float(traj_single.populations(1)[-1]), end_excited_double)
+    single = _evolve_ground(drive, *pulse_hamiltonian(LEVELS[2], drive.delta), tol)
+    times, states, phases, phi_cond, end_excited, adiabatic = _pair_gate(
+        drive, single, np.array([e_dd_mev], dtype=float), tol)
+    trajs = {"single": Trajectory(*single[:2]), "double": Trajectory(times, states[0])}
+    for traj, phase in zip(trajs.values(), (single[2], phases[0])):
+        if np.isnan(phase):   # _evolve_ground's mark of a depleted amplitude
+            amps = traj.amplitudes(0)
+            raise RuntimeError(f"component 0 too depleted for a phase (|a| = "
+                               f"{abs(amps[0]):.3f} start, {abs(amps[-1]):.3f} end)")
+    exposure_single, exposure_double = (float(np.trapezoid(excited_population(t), t.times))
+                                        for t in trajs.values())
 
     eps_lind = None
     if lindblad_check and gamma_per_ps > 0:
         eps_lind = _lindblad_spont_error(drive, gamma_per_ps, tol=max(tol, 1e-9))
 
     return GateReport(
-        # the four inputs 11 - 01 - 10 + 00, summed in that order
-        phi_cond_rad=phi_double - phi_single - phi_single + 0.0,
-        phase_single_rad=phi_single,
-        phase_double_rad=phi_double,
+        phi_cond_rad=float(phi_cond[0]),
+        phase_single_rad=float(single[2]),
+        phase_double_rad=float(phases[0]),
         exposure_single_ps=exposure_single,
         exposure_double_ps=exposure_double,
         eps_spont=gamma_per_ps * exposure_single,
         eps_spont_avg=gamma_per_ps * (2.0 * exposure_single + exposure_double) / 4,
         eps_spont_lindblad=eps_lind,
-        adiabatic=end_excited < ADIABATIC_END_POP,
-        end_excited_max=end_excited,
-        norm_drift=max(traj_single.norm_drift, traj_double.norm_drift),
+        adiabatic=bool(adiabatic[0]),
+        end_excited_max=float(end_excited[0]),
+        norm_drift=max(norm_drift(single[1]), norm_drift(states)),
         e_dd_mev=e_dd_mev,
         gamma_per_ps=gamma_per_ps,
-        trajectories={"single": traj_single, "double": traj_double},
+        trajectories=trajs,
     )
 
 
@@ -311,19 +328,15 @@ def calibrate_phase(drive: PulsedDrive, target_rad: float,
     if not (0.0 <= lo < hi):
         raise ValueError(f"bad e_dd range ({lo}, {hi})")
 
-    _, single, phi_single = _evolve_ground(
+    single = _evolve_ground(
         drive, *pulse_hamiltonian(LEVELS[2], drive.delta), CALIBRATION_TOL, True)
-    end_single = abs(single[-1, 1]) ** 2
 
     def probe(e_dd: np.ndarray, adiabatic_only: bool = True):
         """Offset from the target phase, and whether each point is usable."""
-        pairs = [pulse_hamiltonian(LEVELS[4], drive.delta, e / HBAR_MEV_PS) for e in e_dd]
-        _, states, phi_double = _evolve_ground(
-            drive, np.stack([h0 for h0, _ in pairs]), pairs[0][1], CALIBRATION_TOL,
-            adiabatic_only)
-        offset = phi_double - phi_single - phi_single - target_rad
-        end_excited = np.maximum(end_single, 1.0 - np.abs(states[:, -1, 0]) ** 2)
-        return offset, (end_excited < ADIABATIC_END_POP) & np.isfinite(offset)
+        *_, phi_cond, _, adiabatic = _pair_gate(drive, single, e_dd, CALIBRATION_TOL,
+                                                adiabatic_only)
+        offset = phi_cond - target_rad
+        return offset, adiabatic & np.isfinite(offset)
 
     def refine(a, fa, b, fb):
         """Illinois false position inside the bracket [a, b]."""

@@ -19,6 +19,8 @@ from .dotmodel import DotConfig, MaterialConstants
 from .gatesim import PulsedDrive
 from .units import EV_SI, HBAR_MEV_PS, HBAR_SI
 
+# polar nodes: START_ORDER, doubled per detuning up to 2 * MAX_QUADRATURE_ORDER
+START_ORDER = 128
 MAX_QUADRATURE_ORDER = 2048
 
 
@@ -46,22 +48,16 @@ class PhononModel:
     material: MaterialConstants
     electron: EnvelopeWavefunction
     hole: EnvelopeWavefunction
-    order: int = 128
-
-    def __post_init__(self):
-        if not 16 <= self.order <= MAX_QUADRATURE_ORDER:
-            raise ValueError(f"quadrature order must be in [16, {MAX_QUADRATURE_ORDER}]")
 
 
-def model_from_dot(dot: DotConfig, mat: MaterialConstants, order: int = 128) -> PhononModel:
+def model_from_dot(dot: DotConfig, mat: MaterialConstants) -> PhononModel:
     """Gaussian envelopes sized from the dot geometry, hole offset by d_eh."""
     sxy = dot.diameter_nm / 4.0
     sz = dot.thickness_nm / 4.0
     return PhononModel(
         material=mat,
         electron=EnvelopeWavefunction(sxy, sz, (0.0, 0.0, 0.0)),
-        hole=EnvelopeWavefunction(sxy, sz, (dot.d_eh_nm, 0.0, 0.0)),
-        order=order)
+        hole=EnvelopeWavefunction(sxy, sz, (dot.d_eh_nm, 0.0, 0.0)))
 
 
 # deltas go through the polar rule in blocks of at most this many
@@ -202,7 +198,7 @@ def _spectral_density_at_order(model: PhononModel, deltas, order: int) -> np.nda
 def spectral_density(model: PhononModel, delta_mev):
     """Phonon spectral density J(delta) in 1/ps, for one delta (a float) or an array.
 
-    The polar order doubles from model.order until two orders agree to 1e-4
+    The polar order doubles from START_ORDER until two orders agree to 1e-4
     relative; the finer value is kept, and only unconverged deltas are refined.
     """
     deltas = np.asarray(delta_mev, dtype=float)
@@ -216,7 +212,7 @@ def spectral_density(model: PhononModel, delta_mev):
     delta_cut_mev = k_cut * 1e9 * HBAR_SI * model.material.c_s_m_s / (1e-3 * EV_SI)
     out = np.zeros(deltas.size)
     todo = np.flatnonzero((deltas > 0) & (deltas <= delta_cut_mev))
-    order = model.order
+    order = START_ORDER
     value = _spectral_density_at_order(model, deltas.flat[todo], order)
     while todo.size and order <= MAX_QUADRATURE_ORDER:
         finer = _spectral_density_at_order(model, deltas.flat[todo], 2 * order)

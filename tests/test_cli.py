@@ -1,6 +1,7 @@
 """End-to-end CLI runs: exit codes, output files, reproducibility."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -103,6 +104,10 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     # removed dot knobs are unknown keys now
     assert run(tmp_path, "gate", "--set", "dot.p_forbidden=0.001") == 1
     assert "configuration error" in capsys.readouterr().err
+    # so are the solver settings, which are library constants
+    for assignment in ("phonon.order=128", "gate.tol=1e-9"):
+        assert run(tmp_path, "gate", "--set", assignment) == 1
+        assert "unknown key" in capsys.readouterr().err
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"not_a_section": {}}))
     assert main(["gate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
@@ -130,6 +135,17 @@ def test_phonon_run_and_unattainable_budget(tmp_path, capsys):
     # impossible budget surfaces as a numerical failure
     assert run(tmp_path, "phonon", "--set", "phonon.error_budget=1e-40") == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_failed_phonon_run_writes_nothing(tmp_path, capsys):
+    assert run(tmp_path, "phonon") == 0
+    before = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    # a pulse this strong puts every separation over the budget, after the
+    # table is computed
+    assert run(tmp_path, "phonon", "--set", "drive.omega0=1e150") == 2
+    assert "budget 0.0014 unattainable" in capsys.readouterr().err
+    after = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert after == before
 
 
 def test_phonon_run_evaluates_j_once_per_detuning(tmp_path, monkeypatch):
@@ -178,6 +194,17 @@ def test_sweep_monotone(tmp_path):
     errs = [float(r[1]) for r in rows[1:]]
     assert len(errs) == 3
     assert errs[0] > errs[1] > errs[2]
+
+
+def test_sweep_conditional_phase(tmp_path):
+    assert run(tmp_path, "sweep", "--param", "gate.e_dd_mev",
+               "--values", "1.4446,5,Infinity") == 0
+    rows = read_rows(tmp_path, "sweep.csv")
+    assert rows[0] == ["e_dd_mev", "phi_cond_rad", "adiabatic"]
+    assert len(rows) == 1 + 3
+    for row, v in zip(rows[1:], (1.4446, 5.0, math.inf)):
+        rep = simulate_conditional_gate(PulsedDrive(), v, lindblad_check=False)
+        assert row[1:] == [f"{rep.phi_cond_rad:.9f}", str(int(rep.adiabatic))]
 
 
 def test_sweep_bad_arguments(tmp_path, capsys):
@@ -249,6 +276,11 @@ BAD_INPUTS = [
     (["tune", "--set", "dot.t_op_k=0"], 1, "configuration error: dot: t_op_k"),
     # and the Zeeman slope at g_x = 0, which divided dB_max by zero
     (["tune", "--set", "dot.g_x=0"], 1, "configuration error: dot: g_x"),
+    # omega0^2 overflows the pulse area the phonon error scales with
+    (["phonon", "--set", "drive.omega0=1e200"], 1, "configuration error"),
+    (["gate", "--set", "drive.omega0=1e200"], 1, "configuration error"),
+    (["sweep", "--param", "phonon.e_s_mev", "--values", "7.5", "--set", "drive.omega0=1e200"],
+     1, "configuration error"),
 ]
 
 

@@ -75,7 +75,7 @@ def test_integer_fields_coerced_strictly():
 
 @pytest.mark.parametrize("raw,match", [
     ({"gate": {"e_dd_mev": "5"}}, "expected float, got str"),
-    ({"phonon": {"order": "64"}}, "expected int, got str"),
+    ({"readout": {"n_cycles": "64"}}, "expected int, got str"),
     ({"drive": {"tau_ps": [11.0]}}, "expected float, got list"),
     ({"link": {"eta_override": {}}}, "expected float, got dict"),
     ({"drive": {"delta": None}}, "expected float, got NoneType"),
@@ -113,7 +113,6 @@ def test_invalid_values_propagate():
                       "chain": {"n_links": 64, "n_trials": 100_000}})
     for raw in ({"readout": {"n_shots": 10 ** 8}},
                 {"chain": {"n_links": 64, "n_trials": 10 ** 6}},
-                {"phonon": {"order": 1e5}},
                 {"phonon": {"delta_step_mev": 1e-6}}):
         with pytest.raises(ValueError, match="must be|exceeds"):
             config_from_dict(raw)

@@ -15,8 +15,8 @@ from dotlink import (
     simulate_conditional_gate,
 )
 from dotlink import qcore
-from dotlink.gatesim import (LEVELS, _sink_hamiltonian, excited_population,
-                             pulse_hamiltonian)
+from dotlink.gatesim import (LEVELS, _evolve_ground, _pair_gate, _sink_hamiltonian,
+                             excited_population, pulse_hamiltonian)
 from dotlink.units import HBAR_MEV_PS
 from oracles import blockade_quadrature, gate_phases_rk45
 
@@ -185,6 +185,26 @@ def test_gate_report_validation():
         simulate_conditional_gate(DRIVE, 5.0, gamma_per_ps=-0.1)
     with pytest.raises(ValueError):
         PulsedDrive(tau_ps=-1.0)
+    # a pulse area omega0^2 * tau * sqrt(pi/2) past the largest float, from
+    # a float or an int omega0
+    for omega0, tau in ((1e200, 11.0), (10 ** 200, 11.0), (1e154, 1e10)):
+        with pytest.raises(ValueError, match="omega0 .* tau_ps"):
+            PulsedDrive(omega0=omega0, tau_ps=tau)
+    assert math.isfinite(PulsedDrive(omega0=1e150).omega_sq_integral())
+
+
+def test_pair_batch_matches_single_runs():
+    # a batch doubles its steps until every point settles, so it may take
+    # more steps than a point alone; the phases agree within the tolerance
+    tol = 1e-9
+    single = _evolve_ground(DRIVE, *pulse_hamiltonian(LEVELS[2], DRIVE.delta), tol)
+    for e_dd in (np.array([1.4446, 3.0, 5.0]), np.array([math.inf, math.inf])):
+        _, _, _, phi_cond, end_excited, adiabatic = _pair_gate(DRIVE, single, e_dd, tol)
+        for e, phi, end, ok in zip(e_dd, phi_cond, end_excited, adiabatic):
+            rep = simulate_conditional_gate(DRIVE, e, tol=tol, lindblad_check=False)
+            assert abs(phi - rep.phi_cond_rad) <= 1e2 * tol
+            assert abs(end - rep.end_excited_max) <= 1e2 * tol
+            assert ok == rep.adiabatic
 
 
 def test_calibrate_zero_target_at_zero_coupling():

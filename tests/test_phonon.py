@@ -13,7 +13,6 @@ from scipy.special import j0, roots_legendre
 from dotlink import DotConfig, PulsedDrive, phonon
 from dotlink.dotmodel import GAAS, ZNSE
 from dotlink.phonon import (
-    MAX_QUADRATURE_ORDER,
     EnvelopeWavefunction,
     PhononModel,
     _polar_nodes,
@@ -180,15 +179,15 @@ def test_spectral_density_blocks_agree(monkeypatch):
 
 
 def test_spectral_density_working_set_bounded():
-    # order 2048 doubles to a 4096-node rule for every delta; evaluated in
-    # one block the temporaries alone would take ~300 MB
+    # a start order of 2048 doubles to a 4096-node rule for every delta;
+    # evaluated in one block the temporaries alone would take ~300 MB
     code = (
         "import numpy as np\n"
-        "from dotlink import DotConfig\n"
+        "from dotlink import DotConfig, phonon\n"
         "from dotlink.dotmodel import GAAS\n"
-        "from dotlink.phonon import model_from_dot, spectral_density\n"
-        "model = model_from_dot(DotConfig(), GAAS, order=2048)\n"
-        "spectral_density(model, np.linspace(0.5, 15.0, 2000))\n"
+        "phonon.START_ORDER = 2048\n"
+        "model = phonon.model_from_dot(DotConfig(), GAAS)\n"
+        "phonon.spectral_density(model, np.linspace(0.5, 15.0, 2000))\n"
         "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n")
     src = os.path.dirname(os.path.dirname(phonon.__file__))
     env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": "1",
@@ -293,7 +292,3 @@ def test_envelope_and_model_validation():
         EnvelopeWavefunction(0.0, 1.0)
     with pytest.raises(ValueError):
         EnvelopeWavefunction(4.0, 1.0, center_nm=(0.0, 0.0))
-    with pytest.raises(ValueError):
-        PhononModel(GAAS, MODEL.electron, MODEL.hole, order=8)
-    with pytest.raises(ValueError):
-        PhononModel(GAAS, MODEL.electron, MODEL.hole, order=MAX_QUADRATURE_ORDER + 1)
