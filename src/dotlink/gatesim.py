@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import (MAX_PHASE_STEP, TimeDependentHamiltonian, Trajectory, basis_state,
-                    depleted, evolve_lindblad, magnus_propagate, norm_drift,
-                    phase_steps, pure_density)
+from .qcore import (MAX_PHASE_STEP, Trajectory, basis_state, depleted, magnus_end_state,
+                    magnus_propagate, norm_drift, phase_steps)
 from .units import HBAR_MEV_PS
 
 # pulse support: clip where the envelope falls to 1e-6 of its peak
@@ -82,8 +81,9 @@ class GateReport:
     construction, and input 10 is a copy of 01, the single driven dot: the
     single and double fields are the 01 and 11 inputs.  eps_spont uses the
     single-dot trion exposure; eps_spont_avg averages the exposure over the
-    four inputs instead, and eps_spont_lindblad is an independent
-    master-equation estimate of the same error.
+    four inputs instead, and eps_spont_lindblad is the exact no-jump
+    estimate of the same error, free of the first-order Gamma*exposure
+    approximation (see _spont_error).
     """
 
     phi_cond_rad: float
@@ -155,28 +155,6 @@ def pulse_hamiltonian(levels, delta: float,
     return h0, v
 
 
-def _sink_hamiltonian(delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Single-dot (h0, v) padded by an uncoupled sink level at zero energy."""
-    h0, v = pulse_hamiltonian(LEVELS[2], delta)
-    return np.pad(h0, (0, 1)), np.pad(v, (0, 1))
-
-
-def _lindblad_spont_error(drive: PulsedDrive, gamma_per_ps: float, tol: float) -> float:
-    """Driven two-level system with decay routed to a sink level.
-
-    Population reaching the sink by pulse end is the spontaneous-emission
-    error of the single driven dot, free of the first-order Gamma*exposure
-    approximation.
-    """
-    h0, v = _sink_hamiltonian(drive.delta)
-    ham = TimeDependentHamiltonian(3, lambda t: h0 + drive.omega(t) * v, drive.support())
-    jump = np.zeros((3, 3), dtype=complex)
-    jump[2, 1] = 1.0
-    rho0 = pure_density(basis_state(3, 0))
-    traj = evolve_lindblad(ham, [(jump, gamma_per_ps)], rho0, tol=tol)
-    return float(traj.populations(2)[-1])
-
-
 def excited_population(traj: Trajectory) -> np.ndarray:
     """Trion number at each step, the integrand of the trion exposure."""
     total = np.zeros(len(traj.times))
@@ -229,17 +207,51 @@ def _evolve_ground(drive: PulsedDrive, h0: np.ndarray, v: np.ndarray, tol: float
         n_steps *= 2
 
 
+def _spont_error(drive: PulsedDrive, gamma_per_ps: float, tol: float) -> float:
+    """Population the single driven dot loses to trion decay by pulse end.
+
+    A decay jump only moves T into a sink that couples to nothing, so the
+    {g, T} block follows i dpsi/dt = (h0 + omega(t) v - i gamma/2 |T><T|) psi
+    exactly and the sink holds 1 - |psi(t_end)|^2: the no-jump evolution of
+    the quantum-trajectory method (Dalibard, Castin & Molmer, PRL 68, 580
+    (1992); Plenio & Knight, RMP 70, 101 (1998)).  The step count doubles
+    from START_STEPS until the n- and 2n-step values agree within tol; the
+    2n value is returned.  Past qcore.MAX_MAGNUS_STEPS the propagator
+    raises RuntimeError.
+    """
+    h0, v = pulse_hamiltonian(LEVELS[2], drive.delta)
+    h0[1, 1] -= 0.5j * gamma_per_ps
+    psi0 = basis_state(2, 0)
+    n_steps, previous = START_STEPS, None
+    while True:
+        psi = magnus_end_state(h0, v, drive.omega, drive.support(), psi0, n_steps)
+        lost = 1.0 - float(np.vdot(psi, psi).real)
+        if previous is not None and abs(lost - previous) <= tol:
+            return lost
+        previous = lost
+        n_steps *= 2
+
+
 def _pair_gate(drive: PulsedDrive, single, e_dd_mev: np.ndarray, tol: float,
                adiabatic_only: bool = False):
     """The pair propagated at each e_dd and combined with the single-dot leg.
 
     single is _evolve_ground's (times, states, phase) for one dot; e_dd_mev
-    is a 1-D array, all finite or all infinite (the perfect blockade).
-    Returns the pair's grid, states and phases, and per e_dd phi_cond, the
-    largest end-of-pulse excited population and whether it is adiabatic.
+    is a 1-D array.  A shift s = e_dd/hbar puts phi_cond within
+    int omega^2 dt / (2 |s - delta|) of its blockade value: the doubly
+    excited level, |s - delta| away and coupled by omega/sqrt(2), shifts
+    the singly excited ones by omega^2 / (2 (s - delta)).  When that bound
+    is under 10 * tol, the phase error of the step doubling, for every e_dd
+    of the batch (an infinite one included), the pair runs as the blockade
+    on LEVELS[3]: so large a diagonal would swamp the drive in eigh.
+    Otherwise it runs on LEVELS[4], which needs every e_dd finite.  Returns
+    the pair's grid, states and phases, and per e_dd phi_cond, the largest
+    end-of-pulse excited population and whether it is adiabatic.
     """
-    levels = LEVELS[3] if np.all(np.isinf(e_dd_mev)) else LEVELS[4]
-    pairs = [pulse_hamiltonian(levels, drive.delta, e / HBAR_MEV_PS) for e in e_dd_mev]
+    shifts = np.asarray(e_dd_mev) / HBAR_MEV_PS
+    blockaded = drive.omega_sq_integral() < 20.0 * tol * np.abs(shifts - drive.delta)
+    levels = LEVELS[3] if np.all(blockaded) else LEVELS[4]
+    pairs = [pulse_hamiltonian(levels, drive.delta, s) for s in shifts]
     times, states, phases = _evolve_ground(
         drive, np.stack([h0 for h0, _ in pairs]), pairs[0][1], tol, adiabatic_only)
     _, single_states, phi_single = single
@@ -256,7 +268,8 @@ def simulate_conditional_gate(drive: PulsedDrive, e_dd_mev: float,
 
     e_dd_mev is the dipole-dipole shift of the doubly excited level
     (positive = repulsive); math.inf selects the perfect-blockade limit
-    where that level is projected out.  gamma_per_ps only scales the error
+    where that level is projected out, as does a shift so large that the
+    limit is within 10 * tol of it (see _pair_gate).  gamma_per_ps only scales the error
     bookkeeping; the coherent evolution is always unitary.  tol sets the
     step doubling of each input's propagation (see _evolve_ground).
     Either leg's ground amplitude depleted at an end raises RuntimeError.
@@ -280,7 +293,7 @@ def simulate_conditional_gate(drive: PulsedDrive, e_dd_mev: float,
 
     eps_lind = None
     if lindblad_check and gamma_per_ps > 0:
-        eps_lind = _lindblad_spont_error(drive, gamma_per_ps, tol=max(tol, 1e-9))
+        eps_lind = _spont_error(drive, gamma_per_ps, tol)
 
     return GateReport(
         phi_cond_rad=float(phi_cond[0]),

@@ -1,12 +1,14 @@
-"""Small time-dependent quantum solvers used by the gate and readout models.
+"""Small time-dependent quantum solvers for few-level systems.
 
-Wraps scipy's RK45 for Schrodinger and Lindblad evolution of few-level
-systems with any Hamiltonian, and propagates H(t) = h0 + omega(t)*v, the
-form of every gate Hamiltonian, with a fixed-step 4th-order Magnus
-integrator batched over a stack of h0.  States are plain complex vectors,
-density matrices plain complex arrays.  Norm and trace drift are recorded
-on the trajectory and never silently corrected; callers decide what drift
-is acceptable.
+The gate model propagates H(t) = h0 + omega(t)*v, the form of every gate
+Hamiltonian, with one fixed-step 4th-order Magnus step: magnus_propagate
+batches it over a stack of Hermitian h0, and magnus_end_state takes a
+2-level h0 that may carry a decay term.  Schrodinger and Lindblad
+evolution under any Hamiltonian wrap scipy's RK45; they serve the public
+API and the tests, and no gate run reaches them.  States are plain
+complex vectors, density matrices plain complex arrays.  Norm and trace
+drift are recorded on the trajectory and never silently corrected;
+callers decide what drift is acceptable.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-9
-# work budget per evolution, about 100x the 8,583 RHS calls of the default
-# 4-level gate solve; extreme drives hit it instead of running for minutes
+# work budget per RK45 evolution, about 100x the 8,583 RHS calls of the
+# default 4-level gate pair; extreme drives hit it instead of running for minutes
 MAX_RHS_CALLS = 1_000_000
 # largest Magnus step count, 256x the 400 steps a default gate leg starts
 # from; extreme drives hit it instead of running for minutes
@@ -162,6 +164,42 @@ def norm_drift(states: np.ndarray) -> float:
 _GL_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
 
+def _magnus_exponents(stack: np.ndarray, v: np.ndarray, omega: Callable,
+                      support: tuple[float, float], n_steps: int):
+    """Grid times and the 4th-order Magnus step exponents of h0 + omega(t)*v.
+
+    stack is (B, d, d).  Step j's exponent is
+    K = dt/2 (H1 + H2) + i (sqrt(3)/12) dt^2 [H1, H2] at the two
+    Gauss-Legendre nodes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
+    (2009)); the opposite sign of the commutator term is only 2nd order.
+    [H1, H2] = (omega2 - omega1) [h0, v], so the commutator is formed once.
+    Returns the n_steps + 1 grid times and exponents(steps, rows), the
+    (len(steps), len(rows), d, d) exponents of a slice of steps and of h0s.
+    """
+    if n_steps < 1:
+        raise ValueError(f"need at least one step, got {n_steps}")
+    if n_steps > MAX_MAGNUS_STEPS:
+        raise RuntimeError(
+            f"solver work budget exceeded ({MAX_MAGNUS_STEPS} Magnus steps)")
+    t0, t1 = support
+    if not t1 > t0:
+        raise ValueError(f"empty support ({t0}, {t1})")
+
+    comm = stack @ v - v @ stack
+    times = np.linspace(t0, t1, n_steps + 1)
+    dt = (t1 - t0) / n_steps
+    w1, w2 = (np.asarray(omega(times[:-1] + c * dt), dtype=float) for c in _GL_NODES)
+    # per step, broadcast over (batch, d, d)
+    mean_w = (0.5 * dt * (w1 + w2))[:, None, None, None]
+    comm_w = (1j * math.sqrt(3.0) / 12.0 * dt ** 2 * (w2 - w1))[:, None, None, None]
+
+    def exponents(steps: slice, rows: slice = slice(None)) -> np.ndarray:
+        return (dt * stack[None, rows] + mean_w[steps] * v
+                + comm_w[steps] * comm[None, rows])
+
+    return times, exponents
+
+
 def magnus_propagate(h0: np.ndarray, v: np.ndarray, omega: Callable,
                      support: tuple[float, float], psi0: np.ndarray,
                      n_steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -169,13 +207,10 @@ def magnus_propagate(h0: np.ndarray, v: np.ndarray, omega: Callable,
 
     h0 is one (d, d) Hamiltonian or a (B, d, d) stack, each propagated from
     psi0; v is (d, d), and omega maps an array of times to drive amplitudes.
-    Each step is the 4th-order Magnus exponential exp(-i K) with
-    K = dt/2 (H1 + H2) + i (sqrt(3)/12) dt^2 [H1, H2] at the two
-    Gauss-Legendre nodes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
-    (2009)); the opposite sign of the commutator term is only 2nd order.
-    [H1, H2] = (omega2 - omega1) [h0, v], so the commutator is formed once.
-    Step unitaries come from batched eigh, MAGNUS_BLOCK_STEPS at a time.
-    Returns the n_steps + 1 grid times and states of shape (..., n_steps + 1, d).
+    Each step is the 4th-order Magnus exponential exp(-i K) (see
+    _magnus_exponents), its unitary built from batched eigh,
+    MAGNUS_BLOCK_STEPS at a time.  Returns the n_steps + 1 grid times and
+    states of shape (..., n_steps + 1, d).
     """
     h0 = np.asarray(h0, dtype=complex)
     v = np.asarray(v, dtype=complex)
@@ -189,23 +224,8 @@ def magnus_propagate(h0: np.ndarray, v: np.ndarray, omega: Callable,
     if psi0.shape != (dim,):
         raise ValueError(f"initial state shape {psi0.shape} != ({dim},)")
     _check_norm(psi0)
-    if n_steps < 1:
-        raise ValueError(f"need at least one step, got {n_steps}")
-    if n_steps > MAX_MAGNUS_STEPS:
-        raise RuntimeError(
-            f"solver work budget exceeded ({MAX_MAGNUS_STEPS} Magnus steps)")
-    t0, t1 = support
-    if not t1 > t0:
-        raise ValueError(f"empty support ({t0}, {t1})")
-
     stack = h0.reshape(-1, dim, dim)
-    comm = stack @ v - v @ stack
-    times = np.linspace(t0, t1, n_steps + 1)
-    dt = (t1 - t0) / n_steps
-    w1, w2 = (np.asarray(omega(times[:-1] + c * dt), dtype=float) for c in _GL_NODES)
-    # per step, broadcast over (batch, d, d)
-    mean_w = (0.5 * dt * (w1 + w2))[:, None, None, None]
-    comm_w = (1j * math.sqrt(3.0) / 12.0 * dt ** 2 * (w2 - w1))[:, None, None, None]
+    times, exponents = _magnus_exponents(stack, v, omega, support, n_steps)
 
     n_batch = len(stack)
     states = np.empty((n_steps + 1, n_batch, dim, 1), dtype=complex)
@@ -215,15 +235,59 @@ def magnus_propagate(h0: np.ndarray, v: np.ndarray, omega: Callable,
     for b in range(0, n_batch, per_batch):
         rows = slice(b, b + per_batch)
         for s in range(0, n_steps, per_block):
-            steps = slice(s, s + per_block)
-            k = (dt * stack[None, rows] + mean_w[steps] * v
-                 + comm_w[steps] * comm[None, rows])
-            w, q = np.linalg.eigh(k)
+            w, q = np.linalg.eigh(exponents(slice(s, s + per_block), rows))
             u = (q * np.exp(-1j * w)[..., None, :]) @ q.conj().swapaxes(-1, -2)
             for j, u_j in enumerate(u, start=s):
                 np.matmul(u_j, states[j, rows], out=states[j + 1, rows])
     states = np.moveaxis(states[..., 0], 0, -2)
     return times, states.reshape(h0.shape[:-2] + (n_steps + 1, dim))
+
+
+def _expm_2x2(k: np.ndarray) -> np.ndarray:
+    """exp(-i K) for a stack of 2 x 2 matrices K of any kind, in closed form.
+
+    With m = tr K / 2 and A = K - m I, A^2 = s^2 I where s^2 = -det A, so
+    exp(-i K) = e^{-i m} [cos s I - i (sin s / s) A]; both factors are even
+    in s, so either square root serves.
+    """
+    m = 0.5 * (k[..., 0, 0] + k[..., 1, 1])
+    a = k - m[..., None, None] * np.eye(2)
+    s = np.sqrt(a[..., 0, 0] ** 2 + a[..., 0, 1] * a[..., 1, 0])
+    # sin s / s of s itself: np.sinc's pi * (s / pi) moves a large s enough
+    # to break cos^2 + sin^2 = 1 by ~1e-12 per step
+    zero = s == 0
+    sinc = np.where(zero, 1.0, np.sin(s) / np.where(zero, 1.0, s))
+    u = np.cos(s)[..., None, None] * np.eye(2) - 1j * sinc[..., None, None] * a
+    return np.exp(-1j * m)[..., None, None] * u
+
+
+def magnus_end_state(h0: np.ndarray, v: np.ndarray, omega: Callable,
+                     support: tuple[float, float], psi0: np.ndarray,
+                     n_steps: int) -> np.ndarray:
+    """End state of a 2-level system under i dpsi/dt = (h0 + omega(t)*v) psi.
+
+    The steps are magnus_propagate's, but h0 need not be Hermitian, so a
+    decay term -i gamma/2 on its diagonal is allowed and the norm is not
+    kept.  Each step exponential is the 2 x 2 closed form, and only the end
+    state is formed: the step matrices, MAGNUS_BLOCK_STEPS at a time, are
+    multiplied as a pairwise tree.
+    """
+    h0 = np.asarray(h0, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    psi0 = np.asarray(psi0, dtype=complex)
+    if h0.shape != (2, 2) or v.shape != (2, 2) or psi0.shape != (2,):
+        raise ValueError(f"h0 {h0.shape}, v {v.shape} and psi0 {psi0.shape} "
+                         f"are not 2 x 2, 2 x 2 and 2")
+    _, exponents = _magnus_exponents(h0[None], v, omega, support, n_steps)
+    psi = psi0
+    for s in range(0, n_steps, MAGNUS_BLOCK_STEPS):
+        u = _expm_2x2(exponents(slice(s, s + MAGNUS_BLOCK_STEPS))[:, 0])
+        while len(u) > 1:
+            # later steps act on the left; an odd last step waits a round
+            paired = u[1::2] @ u[:len(u) - 1:2]
+            u = np.concatenate((paired, u[len(u) - 1:])) if len(u) % 2 else paired
+        psi = u[0] @ psi
+    return psi
 
 
 def evolve_lindblad(ham: TimeDependentHamiltonian,

@@ -3,7 +3,10 @@
 Everything here is derived by a different route than the library code:
 adiabatic quadratures via direct numerical integration of dressed-state
 eigenvalues, gate phases via adaptive RK45 on Hamiltonians written out
-here (the library propagates with fixed-step Magnus), the swap channel via a brute-force 4-qubit density matrix,
+here (the library propagates with fixed-step Magnus), the spontaneous-emission
+error via RK45 on the Lindblad master equation with a sink level (the library
+takes the norm lost under the no-jump generator), the swap channel via a
+brute-force 4-qubit density matrix,
 the phonon spectral density via the complex form factor summed over the
 whole sphere of phonon directions (and via a Bessel-function reduction of
 the azimuthal integral for an x-only offset, written apart from the
@@ -61,6 +64,38 @@ def _ground_phase_rk45(drive, h0: np.ndarray, v: np.ndarray, tol: float) -> floa
                     atol=max(tol * 1e-3, 1e-14), max_step=(t1 - t0) / 64.0)
     assert sol.success, sol.message
     return float(np.unwrap(np.angle(sol.y[0]))[-1])
+
+
+def spont_error_master_equation(drive, gamma_per_ps: float, tol: float = 1e-10) -> float:
+    """Spontaneous-emission error of the single driven dot from the master equation.
+
+    The dot is {g, T} plus a sink level at zero energy that couples to
+    nothing; the jump |sink><T| at rate gamma_per_ps carries trion decay
+    there.  Returns the sink population at pulse end, from RK45 on the
+    Lindblad equation for the 3 x 3 density matrix started in g.
+    """
+    h0 = np.diag([0.0, -drive.delta, 0.0]).astype(complex)
+    v = np.zeros((3, 3), dtype=complex)
+    v[0, 1] = v[1, 0] = 0.5
+    jump = np.zeros((3, 3), dtype=complex)
+    jump[2, 1] = 1.0
+    decay = jump.conj().T @ jump
+
+    def rhs(t, y):
+        rho = y.reshape(3, 3)
+        h = h0 + drive.omega(t) * v
+        drho = (-1j * (h @ rho - rho @ h)
+                + gamma_per_ps * (jump @ rho @ jump.conj().T
+                                  - 0.5 * (decay @ rho + rho @ decay)))
+        return drho.ravel()
+
+    t0, t1 = drive.support()
+    rho0 = np.zeros((3, 3), dtype=complex)
+    rho0[0, 0] = 1.0
+    sol = solve_ivp(rhs, (t0, t1), rho0.ravel(), method="RK45", rtol=tol,
+                    atol=max(tol * 1e-3, 1e-14), max_step=(t1 - t0) / 64.0)
+    assert sol.success, sol.message
+    return float(sol.y[8, -1].real)
 
 
 def gate_phases_rk45(drive, e_dd_mev: float, tol: float = 1e-10):

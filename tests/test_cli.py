@@ -7,12 +7,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import dotlink
-from dotlink import PulsedDrive, cli, phonon, qcore, simulate_conditional_gate
+from dotlink import PulsedDrive, cli, phonon, simulate_conditional_gate
 from dotlink.cli import main
 from dotlink.phonon import spectral_density
 
@@ -198,13 +199,15 @@ def test_sweep_monotone(tmp_path):
 
 def test_sweep_conditional_phase(tmp_path):
     assert run(tmp_path, "sweep", "--param", "gate.e_dd_mev",
-               "--values", "1.4446,5,Infinity") == 0
+               "--values", "1.4446,5,Infinity,1e20") == 0
     rows = read_rows(tmp_path, "sweep.csv")
     assert rows[0] == ["e_dd_mev", "phi_cond_rad", "adiabatic"]
-    assert len(rows) == 1 + 3
+    assert len(rows) == 1 + 4
     for row, v in zip(rows[1:], (1.4446, 5.0, math.inf)):
         rep = simulate_conditional_gate(PulsedDrive(), v, lindblad_check=False)
         assert row[1:] == [f"{rep.phi_cond_rad:.9f}", str(int(rep.adiabatic))]
+    # a huge finite shift is the blockade
+    assert rows[4][1:] == rows[3][1:]
 
 
 def test_sweep_bad_arguments(tmp_path, capsys):
@@ -252,8 +255,11 @@ BAD_INPUTS = [
     (["link", "--trials", "100000000"], 1, "validation error"),
     (["sweep", "--param", "phonon.e_s_mev", "--values", "7.5,nan"], 1, "validation error"),
     (["sweep", "--param", "link.delta_e_uev", "--values", "-0.1"], 1, "validation error"),
-    (["gate", "--set", "drive.delta=1e3"], 2, "numerical failure: solver work budget"),
-    (["gate", "--set", "drive.delta=1e5"], 2, "numerical failure: solver work budget"),
+    (["sweep", "--param", "gate.e_dd_mev", "--values", "5", "--set", "drive.omega0=1e4"], 2,
+     "numerical failure: solver work budget"),
+    # a shift this far above the drive swamps the pair's step exponents, yet
+    # lies under the bound where the pair runs as the perfect blockade
+    (["gate", "--set", "gate.e_dd_mev=3e8"], 2, "numerical failure: solver work budget"),
     (["gate", "--set", "drive.omega0=1e4"], 2, "numerical failure: solver work budget"),
     (["gate", "--set", "drive.tau_ps=1e7"], 2, "numerical failure: solver work budget"),
     (["gate", "--set", "drive.delta=1.0", "--set", "gate.e_dd_mev=1.25"], 2,
@@ -285,15 +291,26 @@ BAD_INPUTS = [
 
 
 @pytest.mark.parametrize("argv,code,prefix", BAD_INPUTS)
-def test_bad_input_exit_codes(tmp_path, capsys, monkeypatch, argv, code, prefix):
-    # a budget of 10k RHS calls stops the Lindblad check of the extreme
-    # detunings in a tenth of a second; at the real budget delta = 1e3
-    # completes instead, its Lindblad solve needing ~0.5M calls.  The other
-    # extreme drives run past the Magnus step cap, in about a second.
-    monkeypatch.setattr(qcore, "MAX_RHS_CALLS", 10_000)
+def test_bad_input_exit_codes(tmp_path, capsys, argv, code, prefix):
+    # the extreme drives run past the Magnus step cap, in about a second
     assert main(argv + ["--out", str(tmp_path)]) == code
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("delta", ["1e3", "1e5"])
+def test_far_detuned_gate_run(tmp_path, delta):
+    # a gate runs on the Magnus propagator alone, spontaneous-emission check
+    # included, so a far-detuned drive settles in about a second; the check
+    # agrees with Gamma * exposure to its absolute tolerance, 1e-9, and at
+    # 1e3 to a few per mille of it
+    start = time.perf_counter()
+    assert run(tmp_path, "gate", "--set", f"drive.delta={delta}") == 0
+    assert time.perf_counter() - start <= 10.0
+    rep = read_json(tmp_path, "gate_report.json")
+    assert abs(rep["eps_spont_lindblad"] - rep["eps_spont"]) <= 1e-9
+    if delta == "1e3":
+        assert abs(rep["eps_spont_lindblad"] - rep["eps_spont"]) <= 0.15 * rep["eps_spont"]
 
 
 def test_help_exits_zero(capsys):
@@ -311,13 +328,14 @@ def test_out_path_is_a_file(tmp_path, capsys):
 
 
 def test_light_runs_load_no_scipy_solvers(tmp_path):
-    # scipy takes 0.3 to 1 s to import, and only the gate's Lindblad check
-    # needs it (scipy.integrate, imported on first use): a calibration, a
-    # phonon run and a phonon sweep load no scipy module at all
+    # scipy takes 0.3 to 1 s to import, and only the public RK45 integrators
+    # need it (scipy.integrate, imported on first use): a gate run, a
+    # calibration, a phonon run and a phonon sweep load no scipy module at all
     code = ("import math, sys\n"
             "import dotlink, dotlink.cli\n"
             "dotlink.calibrate_phase(dotlink.PulsedDrive(), math.pi)\n"
             f"out = {str(tmp_path)!r}\n"
+            "assert dotlink.cli.main(['gate', '--trajectories', '--out', out]) == 0\n"
             "assert dotlink.cli.main(['phonon', '--out', out]) == 0\n"
             "assert dotlink.cli.main(['sweep', '--param', 'phonon.e_s_mev',"
             " '--values', '5,7.5', '--out', out]) == 0\n"

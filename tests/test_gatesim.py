@@ -15,10 +15,10 @@ from dotlink import (
     simulate_conditional_gate,
 )
 from dotlink import qcore
-from dotlink.gatesim import (LEVELS, _evolve_ground, _pair_gate, _sink_hamiltonian,
+from dotlink.gatesim import (LEVELS, _evolve_ground, _pair_gate, _spont_error,
                              excited_population, pulse_hamiltonian)
 from dotlink.units import HBAR_MEV_PS
-from oracles import blockade_quadrature, gate_phases_rk45
+from oracles import blockade_quadrature, gate_phases_rk45, spont_error_master_equation
 
 DRIVE = PulsedDrive()  # omega0 = 1 rad/ps, tau = 11 ps, delta = 0.75 rad/ps
 
@@ -54,8 +54,6 @@ def test_level_table_builds_the_pulse_hamiltonians():
         "pair": (pulse_hamiltonian(LEVELS[4], d, s),
                  np.diag([0.0, -d, -d, -2.0 * d + s]),
                  [[0, h, h, 0], [h, 0, 0, h], [h, 0, 0, h], [0, h, h, 0]]),
-        "sink": (_sink_hamiltonian(d),
-                 np.diag([0.0, -d, 0.0]), [[0, h, 0], [h, 0, 0], [0, 0, 0]]),
     }
     om = PulsedDrive(delta=d).omega(3.7)
     for name, ((h0, v), h0_ref, v_ref) in expected.items():
@@ -104,6 +102,23 @@ def test_default_gate_exposure_and_errors():
     # phi_cond = phi_11 - phi_01 - phi_10 + phi_00, with 10 a copy of 01
     assert abs(rep.phi_cond_rad
                - (rep.phase_double_rad - 2.0 * rep.phase_single_rad)) <= 1e-12
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.75, 2.0])
+def test_spont_error_matches_master_equation(delta):
+    # the no-jump norm loss against the sink population of the Lindblad
+    # equation, integrated by RK45 in the oracle
+    drive = PulsedDrive(delta=delta)
+    gamma = 1.0 / 300.0
+    rep = simulate_conditional_gate(drive, math.inf, gamma_per_ps=gamma)
+    assert abs(rep.eps_spont_lindblad - spont_error_master_equation(drive, gamma)) <= 1e-9
+
+
+def test_spont_error_vanishes_without_decay():
+    # with no decay the no-jump leg keeps the norm up to rounding
+    assert abs(_spont_error(DRIVE, 0.0, 1e-9)) <= 1e-12
+    rep = simulate_conditional_gate(DRIVE, 5.0, gamma_per_ps=1e-30)
+    assert abs(rep.eps_spont_lindblad) <= 1e-12
 
 
 def test_no_decay_skips_lindblad_branch():
@@ -191,6 +206,30 @@ def test_gate_report_validation():
         with pytest.raises(ValueError, match="omega0 .* tau_ps"):
             PulsedDrive(omega0=omega0, tau_ps=tau)
     assert math.isfinite(PulsedDrive(omega0=1e150).omega_sq_integral())
+
+
+@pytest.mark.parametrize("omega0", [1.0, 3.0])
+def test_blockade_bound_holds(omega0):
+    # phi_cond lies within int omega^2 dt / (2 |s - delta|) of its blockade
+    # value, the bound _pair_gate maps huge shifts to the blockade by
+    drive = PulsedDrive(omega0=omega0)
+    blockade = simulate_conditional_gate(drive, math.inf, lindblad_check=False).phi_cond_rad
+    for e_dd in (-50.0, 50.0, 1e4):
+        rep = simulate_conditional_gate(drive, e_dd, lindblad_check=False)
+        gap = abs(e_dd / HBAR_MEV_PS - drive.delta)
+        assert 0.0 < abs(rep.phi_cond_rad - blockade) <= drive.omega_sq_integral() / (2.0 * gap)
+
+
+def test_huge_dipole_shift_is_the_blockade():
+    # a shift whose distance from the blockade is far below the phase
+    # tolerance runs as the blockade; an eigh of the 4-level step exponent
+    # returned 7.4727 rad at 1e20 meV, with the pair never driven
+    blockade = simulate_conditional_gate(DRIVE, math.inf, lindblad_check=False)
+    for e_dd in (1e20, -1e20, 1e308):
+        rep = simulate_conditional_gate(DRIVE, e_dd, lindblad_check=False)
+        assert rep.phi_cond_rad == blockade.phi_cond_rad
+        assert rep.exposure_double_ps == blockade.exposure_double_ps
+        assert rep.e_dd_mev == e_dd
 
 
 def test_pair_batch_matches_single_runs():

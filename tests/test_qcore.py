@@ -112,6 +112,11 @@ def test_state_validation():
         return lambda: qcore.magnus_propagate(h0, v, PulsedDrive().omega, (-1.0, 1.0),
                                               psi0, n_steps)
 
+    def end_state(psi0, n_steps=10):
+        h0, v = pair_hamiltonian(0.75, 5.0)
+        return lambda: qcore.magnus_end_state(h0[:2, :2], v[:2, :2], PulsedDrive().omega,
+                                              (-1.0, 1.0), psi0, n_steps)
+
     bad_inputs = [
         (pure([1.0, 1.0]), "state norm off"),
         (pure([1.0, 0.0, 0.0]), "initial state shape"),
@@ -126,6 +131,8 @@ def test_state_validation():
         (magnus([1.0, 1.0, 0.0, 0.0]), "state norm off"),
         (magnus(basis_state(2, 0)), "initial state shape"),
         (magnus(basis_state(4, 0), n_steps=0), "at least one step"),
+        (end_state(basis_state(3, 0)), "not 2 x 2"),
+        (end_state(basis_state(2, 0), n_steps=0), "at least one step"),
     ]
     for call, message in bad_inputs:
         with pytest.raises(ValueError, match=message):
@@ -202,6 +209,9 @@ def test_work_budget_stops_long_solves(monkeypatch):
     monkeypatch.setattr(qcore, "MAX_MAGNUS_STEPS", 399)
     with pytest.raises(RuntimeError, match="work budget"):
         magnus_states(PulsedDrive(), *pair_hamiltonian(0.75, 5.0), 400)
+    with pytest.raises(RuntimeError, match="work budget"):
+        qcore.magnus_end_state(np.eye(2), np.eye(2), PulsedDrive().omega, (-1.0, 1.0),
+                               basis_state(2, 0), 400)
 
 
 @pytest.mark.parametrize("e_dd", [1.4446, 5.0])
@@ -237,6 +247,30 @@ def test_magnus_blocks_do_not_change_results(monkeypatch):
     # two step matrices per block split the batch as well as the steps
     monkeypatch.setattr(qcore, "MAGNUS_BLOCK_STEPS", 2)
     assert np.array_equal(magnus_states(drive, h0, v, 400)[1], whole)
+
+
+@pytest.mark.parametrize("block", [qcore.MAGNUS_BLOCK_STEPS, 7])
+def test_end_state_matches_magnus_propagate(monkeypatch, block):
+    # the 2 x 2 closed form and the tree product against eigh and the
+    # step-by-step product, on a Hermitian single dot; a block of 7 steps
+    # leaves odd lengths in the tree and a short last block
+    drive = PulsedDrive()
+    h0, v = pair_hamiltonian(drive.delta, 5.0)
+    h0, v = h0[:2, :2], v[:2, :2]
+    states = magnus_states(drive, h0, v, 401)[1]
+    monkeypatch.setattr(qcore, "MAGNUS_BLOCK_STEPS", block)
+    end = qcore.magnus_end_state(h0, v, drive.omega, drive.support(), basis_state(2, 0), 401)
+    assert np.max(np.abs(end - states[-1])) <= 1e-13
+
+
+def test_end_state_keeps_norm_far_detuned():
+    # step exponents of ~2e4 rad: sin s / s must be taken of s itself, or
+    # cos^2 + sin^2 drifts from 1 by ~1e-12 per step
+    drive = PulsedDrive(delta=1e5)
+    h0, v = pair_hamiltonian(drive.delta, 5.0)
+    end = qcore.magnus_end_state(h0[:2, :2], v[:2, :2], drive.omega, drive.support(),
+                                 basis_state(2, 0), 400)
+    assert abs(np.vdot(end, end).real - 1.0) <= 1e-12
 
 
 def test_tolerance_halving_stability():
