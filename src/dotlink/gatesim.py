@@ -3,8 +3,11 @@
 The controlled-phase gate drives both dots with one detuned Gaussian pulse.
 Only the |1/2> ground state couples to its trion, so the four computational
 inputs reduce to: an uncoupled spectator pair, two copies of a driven
-two-level system {g, T}, and a four-level system {gg, Tg, gT, TT} whose
-doubly excited level is shifted by the dipole-dipole energy.
+two-level system {g, T}, and the pair {gg, Tg, gT, TT}, whose doubly excited
+level is shifted by the dipole-dipole energy.  The pulse is the same on both
+dots, so from gg the pair never leaves the symmetric chain {gg, S, TT},
+S = (Tg + gT)/sqrt(2).  Every leg is thus a chain whose level k holds k
+trions, driven between neighbours (see pulse_hamiltonian).
 
 Frame convention: the rotating frame of the drive laser, tuned above the
 trion line by delta, puts the trion level at -delta on the diagonal.  The
@@ -79,11 +82,12 @@ class GateReport:
 
     Input 00 stays uncoupled, so its phase and trion exposure are 0 by
     construction, and input 10 is a copy of 01, the single driven dot: the
-    single and double fields are the 01 and 11 inputs.  eps_spont uses the
-    single-dot trion exposure; eps_spont_avg averages the exposure over the
-    four inputs instead, and eps_spont_lindblad is the exact no-jump
-    estimate of the same error, free of the first-order Gamma*exposure
-    approximation (see _spont_error).
+    single and double fields are the 01 and 11 inputs, and the trajectories
+    of the same names hold their chains, {g, T} and {gg, S, TT} ({gg, S} in
+    the blockade).  eps_spont uses the single-dot trion exposure;
+    eps_spont_avg averages the exposure over the four inputs instead, and
+    eps_spont_lindblad is the exact no-jump estimate of the same error, free
+    of the first-order Gamma*exposure approximation (see _spont_error).
     """
 
     phi_cond_rad: float
@@ -122,45 +126,28 @@ def raman_gate_error(cfg: RamanConfig) -> float:
     return math.pi * gamma_per_ps / (2.0 * delta_per_ps)
 
 
-# basis levels by trion occupation per dot, keyed by system size: the single
-# dot {g, T}, the blockaded pair {gg, Tg, gT}, whose doubly excited level is
-# projected out, and the full pair {gg, Tg, gT, TT}
-LEVELS = {
-    2: ((0,), (1,)),
-    3: ((0, 0), (1, 0), (0, 1)),
-    4: ((0, 0), (1, 0), (0, 1), (1, 1)),
-}
+def pulse_hamiltonian(delta: float, dots: int = 1,
+                      shift: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
+    """(h0, v) with H(t) = h0 + omega(t) * v on a trion chain, in rad/ps.
 
-
-def pulse_hamiltonian(levels, delta: float,
-                      shift: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """(h0, v) with H(t) = h0 + omega(t) * v on the given levels, in rad/ps.
-
-    A level holding n trions sits at -n*delta, and the doubly excited level
-    also carries the dipole-dipole shift; v couples, with weight 1/2, every
-    pair of levels that differ by one trion on one dot.
+    Level k of the chain holds k trions and sits at -k*delta.  One driven
+    dot is the chain {g, T}, coupled by 1/2.  Two dots under the same pulse
+    never leave the symmetric chain {gg, S, TT}, S = (Tg + gT)/sqrt(2), whose
+    neighbours are coupled by 1/sqrt(2); TT also carries the dipole-dipole
+    shift, and an infinite shift projects it out, leaving the blockade
+    {gg, S}.
     """
-    n = len(levels)
-    h0 = np.zeros((n, n), dtype=complex)
-    v = np.zeros((n, n), dtype=complex)
-    for i, a in enumerate(levels):
-        n_trions = sum(a)
-        if n_trions:
-            h0[i, i] = -n_trions * delta
-        if n_trions == 2:
-            h0[i, i] += shift
-        for j, b in enumerate(levels):
-            if sum(abs(x - y) for x, y in zip(a, b)) == 1:
-                v[i, j] = 0.5
+    n = 3 if dots == 2 and math.isfinite(shift) else 2
+    h0 = np.diag(-delta * np.arange(n))
+    if n == 3:
+        h0[2, 2] += shift
+    v = math.sqrt(dots) / 2.0 * (np.eye(n, k=1) + np.eye(n, k=-1))
     return h0, v
 
 
 def excited_population(traj: Trajectory) -> np.ndarray:
     """Trion number at each step, the integrand of the trion exposure."""
-    total = np.zeros(len(traj.times))
-    for idx, level in enumerate(LEVELS[traj.states.shape[1]]):
-        total += sum(level) * traj.populations(idx)
-    return total
+    return np.abs(traj.states) ** 2 @ np.arange(traj.states.shape[1])
 
 
 ADIABATIC_END_POP = 1e-3
@@ -168,6 +155,8 @@ ADIABATIC_END_POP = 1e-3
 # phases at n and 2n steps agree within PHASE_TOL_PER_TOL * tol rad
 START_STEPS = 400
 PHASE_TOL_PER_TOL = 1e2
+# a settled no-jump loss below -LOSS_ROUNDING is rounding, not a loss
+LOSS_ROUNDING = 1e-15
 
 
 def _evolve_ground(drive: PulsedDrive, h0: np.ndarray, v: np.ndarray, tol: float,
@@ -215,18 +204,20 @@ def _spont_error(drive: PulsedDrive, gamma_per_ps: float, tol: float) -> float:
     exactly and the sink holds 1 - |psi(t_end)|^2: the no-jump evolution of
     the quantum-trajectory method (Dalibard, Castin & Molmer, PRL 68, 580
     (1992); Plenio & Knight, RMP 70, 101 (1998)).  The step count doubles
-    from START_STEPS until the n- and 2n-step values agree within tol; the
-    2n value is returned.  Past qcore.MAX_MAGNUS_STEPS the propagator
-    raises RuntimeError.
+    from START_STEPS until the n- and 2n-step values agree within tol and
+    the 2n value is no more negative than LOSS_ROUNDING; that value is
+    returned.  Far detuned, the loss is near the rounding of 1 - |psi|^2
+    and may settle below zero; more steps then move it by that rounding.
+    Past qcore.MAX_MAGNUS_STEPS the propagator raises RuntimeError.
     """
-    h0, v = pulse_hamiltonian(LEVELS[2], drive.delta)
-    h0[1, 1] -= 0.5j * gamma_per_ps
+    h0, v = pulse_hamiltonian(drive.delta)
+    h0 = h0 - 0.5j * gamma_per_ps * np.diag([0.0, 1.0])
     psi0 = basis_state(2, 0)
     n_steps, previous = START_STEPS, None
     while True:
         psi = magnus_end_state(h0, v, drive.omega, drive.support(), psi0, n_steps)
         lost = 1.0 - float(np.vdot(psi, psi).real)
-        if previous is not None and abs(lost - previous) <= tol:
+        if previous is not None and abs(lost - previous) <= tol and lost >= -LOSS_ROUNDING:
             return lost
         previous = lost
         n_steps *= 2
@@ -243,15 +234,16 @@ def _pair_gate(drive: PulsedDrive, single, e_dd_mev: np.ndarray, tol: float,
     the singly excited ones by omega^2 / (2 (s - delta)).  When that bound
     is under 10 * tol, the phase error of the step doubling, for every e_dd
     of the batch (an infinite one included), the pair runs as the blockade
-    on LEVELS[3]: so large a diagonal would swamp the drive in eigh.
-    Otherwise it runs on LEVELS[4], which needs every e_dd finite.  Returns
+    {gg, S}: so large a diagonal would swamp the drive in eigh.  Otherwise
+    it runs on {gg, S, TT}, which needs every e_dd finite.  Returns
     the pair's grid, states and phases, and per e_dd phi_cond, the largest
     end-of-pulse excited population and whether it is adiabatic.
     """
     shifts = np.asarray(e_dd_mev) / HBAR_MEV_PS
     blockaded = drive.omega_sq_integral() < 20.0 * tol * np.abs(shifts - drive.delta)
-    levels = LEVELS[3] if np.all(blockaded) else LEVELS[4]
-    pairs = [pulse_hamiltonian(levels, drive.delta, s) for s in shifts]
+    if np.all(blockaded):
+        shifts = np.full_like(shifts, math.inf)
+    pairs = [pulse_hamiltonian(drive.delta, 2, s) for s in shifts]
     times, states, phases = _evolve_ground(
         drive, np.stack([h0 for h0, _ in pairs]), pairs[0][1], tol, adiabatic_only)
     _, single_states, phi_single = single
@@ -272,14 +264,16 @@ def simulate_conditional_gate(drive: PulsedDrive, e_dd_mev: float,
     limit is within 10 * tol of it (see _pair_gate).  gamma_per_ps only scales the error
     bookkeeping; the coherent evolution is always unitary.  tol sets the
     step doubling of each input's propagation (see _evolve_ground).
-    Either leg's ground amplitude depleted at an end raises RuntimeError.
+    Either leg's ground amplitude depleted at an end raises RuntimeError,
+    and an eps_spont outside [0, 1] raises ValueError before the
+    spontaneous-emission check runs.
     """
     if gamma_per_ps < 0:
         raise ValueError("gamma_per_ps must be nonnegative")
     if not 0.0 < tol <= 1e-3:
         raise ValueError(f"tol must be in (0, 1e-3], got {tol}")
 
-    single = _evolve_ground(drive, *pulse_hamiltonian(LEVELS[2], drive.delta), tol)
+    single = _evolve_ground(drive, *pulse_hamiltonian(drive.delta), tol)
     times, states, phases, phi_cond, end_excited, adiabatic = _pair_gate(
         drive, single, np.array([e_dd_mev], dtype=float), tol)
     trajs = {"single": Trajectory(*single[:2]), "double": Trajectory(times, states[0])}
@@ -291,11 +285,7 @@ def simulate_conditional_gate(drive: PulsedDrive, e_dd_mev: float,
     exposure_single, exposure_double = (float(np.trapezoid(excited_population(t), t.times))
                                         for t in trajs.values())
 
-    eps_lind = None
-    if lindblad_check and gamma_per_ps > 0:
-        eps_lind = _spont_error(drive, gamma_per_ps, tol)
-
-    return GateReport(
+    report = GateReport(
         phi_cond_rad=float(phi_cond[0]),
         phase_single_rad=float(single[2]),
         phase_double_rad=float(phases[0]),
@@ -303,7 +293,7 @@ def simulate_conditional_gate(drive: PulsedDrive, e_dd_mev: float,
         exposure_double_ps=exposure_double,
         eps_spont=gamma_per_ps * exposure_single,
         eps_spont_avg=gamma_per_ps * (2.0 * exposure_single + exposure_double) / 4,
-        eps_spont_lindblad=eps_lind,
+        eps_spont_lindblad=None,
         adiabatic=bool(adiabatic[0]),
         end_excited_max=float(end_excited[0]),
         norm_drift=max(norm_drift(single[1]), norm_drift(states)),
@@ -311,6 +301,11 @@ def simulate_conditional_gate(drive: PulsedDrive, e_dd_mev: float,
         gamma_per_ps=gamma_per_ps,
         trajectories=trajs,
     )
+    # the report refuses an eps_spont outside [0, 1] before the no-jump leg
+    # runs, whose step exponentials overflow at a lifetime like 1e-300 ps
+    if lindblad_check and gamma_per_ps > 0:
+        report.eps_spont_lindblad = _spont_error(drive, gamma_per_ps, tol)
+    return report
 
 
 # calibrate_phase accepts a scan point within PHASE_TOL_RAD of the target
@@ -342,7 +337,7 @@ def calibrate_phase(drive: PulsedDrive, target_rad: float,
         raise ValueError(f"bad e_dd range ({lo}, {hi})")
 
     single = _evolve_ground(
-        drive, *pulse_hamiltonian(LEVELS[2], drive.delta), CALIBRATION_TOL, True)
+        drive, *pulse_hamiltonian(drive.delta), CALIBRATION_TOL, True)
 
     def probe(e_dd: np.ndarray, adiabatic_only: bool = True):
         """Offset from the target phase, and whether each point is usable."""

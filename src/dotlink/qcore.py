@@ -2,13 +2,14 @@
 
 The gate model propagates H(t) = h0 + omega(t)*v, the form of every gate
 Hamiltonian, with one fixed-step 4th-order Magnus step: magnus_propagate
-batches it over a stack of Hermitian h0, and magnus_end_state takes a
-2-level h0 that may carry a decay term.  Schrodinger and Lindblad
-evolution under any Hamiltonian wrap scipy's RK45; they serve the public
-API and the tests, and no gate run reaches them.  States are plain
-complex vectors, density matrices plain complex arrays.  Norm and trace
-drift are recorded on the trajectory and never silently corrected;
-callers decide what drift is acceptable.
+batches it over a stack of real diagonal h0 with one Hermitian tridiagonal
+v, the trion chains of the gate, and magnus_end_state takes a 2-level h0
+that may carry a decay term.  Schrodinger and Lindblad evolution under any
+Hamiltonian wrap scipy's RK45; they serve the public API and the tests, and
+no gate run reaches them.  States are plain complex vectors, density
+matrices plain complex arrays.  Norm and trace drift are recorded on the
+trajectory and never silently corrected; callers decide what drift is
+acceptable.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ MAX_RHS_CALLS = 1_000_000
 # largest Magnus step count, 256x the 400 steps a default gate leg starts
 # from; extreme drives hit it instead of running for minutes
 MAX_MAGNUS_STEPS = 400 * 2 ** 8
-# Magnus step unitaries are built at most this many at a time (256 bytes
-# each for the 4-level pair), so their temporaries stay a few MB at any
-# batch or step count
+# Magnus step unitaries are built at most this many at a time (144 bytes
+# each for the 3-level pair chain), so their temporaries stay a few MB at
+# any batch or step count
 MAGNUS_BLOCK_STEPS = 1 << 13
 # a tracked amplitude needs this modulus at both ends for a meaningful phase
 MIN_PHASE_AMPLITUDE = 0.5
@@ -200,15 +201,30 @@ def _magnus_exponents(stack: np.ndarray, v: np.ndarray, omega: Callable,
     return times, exponents
 
 
+def _expm_tridiagonal(k: np.ndarray) -> np.ndarray:
+    """exp(-i K) for a stack of Hermitian tridiagonal matrices K, by a real eigh.
+
+    The diagonal gauge D with D[0] = 1 and D[j+1] = D[j] exp(-i arg K[j, j+1])
+    makes T = D* K D real symmetric, with off-diagonals |K[j, j+1]|, so
+    exp(-i K) = D exp(-i T) D*.
+    """
+    w, q = np.linalg.eigh(np.where(np.eye(k.shape[-1], dtype=bool), k.real, np.abs(k)))
+    arg = np.cumsum(np.angle(np.diagonal(k, 1, -2, -1)), axis=-1)
+    gauge = np.exp(-1j * np.concatenate((np.zeros(arg.shape[:-1] + (1,)), arg), axis=-1))
+    u = (q * np.exp(-1j * w)[..., None, :]) @ q.swapaxes(-1, -2)
+    return gauge[..., :, None] * u * gauge.conj()[..., None, :]
+
+
 def magnus_propagate(h0: np.ndarray, v: np.ndarray, omega: Callable,
                      support: tuple[float, float], psi0: np.ndarray,
                      n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """States under H(t) = h0 + omega(t)*v on n_steps equal steps of the support.
 
-    h0 is one (d, d) Hamiltonian or a (B, d, d) stack, each propagated from
-    psi0; v is (d, d), and omega maps an array of times to drive amplitudes.
-    Each step is the 4th-order Magnus exponential exp(-i K) (see
-    _magnus_exponents), its unitary built from batched eigh,
+    h0 is one real diagonal (d, d) Hamiltonian or a (B, d, d) stack of them,
+    each propagated from psi0; v is a Hermitian tridiagonal (d, d), and omega
+    maps an array of times to drive amplitudes.  Each step is the 4th-order
+    Magnus exponential exp(-i K) (see _magnus_exponents), K is then
+    Hermitian tridiagonal, and its unitary comes from _expm_tridiagonal,
     MAGNUS_BLOCK_STEPS at a time.  Returns the n_steps + 1 grid times and
     states of shape (..., n_steps + 1, d).
     """
@@ -220,6 +236,10 @@ def magnus_propagate(h0: np.ndarray, v: np.ndarray, omega: Callable,
     for name, h in (("h0", h0), ("v", v)):
         if not np.array_equal(h, h.conj().swapaxes(-1, -2)):
             raise ValueError(f"{name} not hermitian")
+    if np.any(h0[..., ~np.eye(dim, dtype=bool)]):
+        raise ValueError("h0 not diagonal")
+    if np.any(np.triu(v, 2)):
+        raise ValueError("v not tridiagonal")
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (dim,):
         raise ValueError(f"initial state shape {psi0.shape} != ({dim},)")
@@ -235,8 +255,7 @@ def magnus_propagate(h0: np.ndarray, v: np.ndarray, omega: Callable,
     for b in range(0, n_batch, per_batch):
         rows = slice(b, b + per_batch)
         for s in range(0, n_steps, per_block):
-            w, q = np.linalg.eigh(exponents(slice(s, s + per_block), rows))
-            u = (q * np.exp(-1j * w)[..., None, :]) @ q.conj().swapaxes(-1, -2)
+            u = _expm_tridiagonal(exponents(slice(s, s + per_block), rows))
             for j, u_j in enumerate(u, start=s):
                 np.matmul(u_j, states[j, rows], out=states[j + 1, rows])
     states = np.moveaxis(states[..., 0], 0, -2)

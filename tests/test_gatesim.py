@@ -15,8 +15,8 @@ from dotlink import (
     simulate_conditional_gate,
 )
 from dotlink import qcore
-from dotlink.gatesim import (LEVELS, _evolve_ground, _pair_gate, _spont_error,
-                             excited_population, pulse_hamiltonian)
+from dotlink.gatesim import (_evolve_ground, _pair_gate, _spont_error, excited_population,
+                             pulse_hamiltonian)
 from dotlink.units import HBAR_MEV_PS
 from oracles import blockade_quadrature, gate_phases_rk45, spont_error_master_equation
 
@@ -44,30 +44,38 @@ def test_raman_gate_error_scaling():
 
 
 def test_level_table_builds_the_pulse_hamiltonians():
-    # the hand-written matrices the builder replaced, at delta d and shift s
+    # the single dot is the hand-written {g, T}; the pair is the full
+    # {gg, Tg, gT, TT}, at delta d and shift s, projected on its symmetric
+    # chain gg, S = (Tg + gT)/sqrt(2), TT, which the drive never leaves, and
+    # the blockade drops TT
     d, s, h = 0.73, 3.3 / HBAR_MEV_PS, 0.5
+    full_h0 = np.diag([0.0, -d, -d, -2.0 * d + s])
+    full_v = np.array([[0, h, h, 0], [h, 0, 0, h], [h, 0, 0, h], [0, h, h, 0]])
+    r = 1.0 / math.sqrt(2.0)
+    chain = np.array([[1, 0, 0], [0, r, 0], [0, r, 0], [0, 0, 1]])
     expected = {
-        "single": (pulse_hamiltonian(LEVELS[2], d),
-                   np.diag([0.0, -d]), [[0, h], [h, 0]]),
-        "blockaded": (pulse_hamiltonian(LEVELS[3], d),
-                      np.diag([0.0, -d, -d]), [[0, h, h], [h, 0, 0], [h, 0, 0]]),
-        "pair": (pulse_hamiltonian(LEVELS[4], d, s),
-                 np.diag([0.0, -d, -d, -2.0 * d + s]),
-                 [[0, h, h, 0], [h, 0, 0, h], [h, 0, 0, h], [0, h, h, 0]]),
+        "single": (pulse_hamiltonian(d), (np.diag([0.0, -d]), np.array([[0, h], [h, 0]])),
+                   np.eye(2)),
+        "blockaded": (pulse_hamiltonian(d, 2), (full_h0[:3, :3], full_v[:3, :3]),
+                      chain[:3, :2]),
+        "pair": (pulse_hamiltonian(d, 2, s), (full_h0, full_v), chain),
     }
-    om = PulsedDrive(delta=d).omega(3.7)
-    for name, ((h0, v), h0_ref, v_ref) in expected.items():
-        assert np.array_equal(h0, h0_ref), name
-        assert np.array_equal(v, np.array(v_ref, dtype=complex)), name
-        # H(t) = h0 + omega * v reproduces the literal omega/2 entries exactly
-        assert np.array_equal(h0 + om * v, h0_ref + om / 2.0 * (np.array(v_ref) != 0)), name
+    for name, (built, full, basis) in expected.items():
+        for m, m_full in zip(built, full):
+            assert m.dtype == float, name
+            assert np.max(np.abs(m - basis.T @ m_full @ basis)) <= 1e-15, name
+            # the chain's span is invariant under the full operator
+            assert np.max(np.abs(m_full @ basis - basis @ m)) <= 1e-15, name
 
 
 def test_exposure_weights_count_trions():
-    # a trajectory that visits each basis level in turn reads off its weight
-    for dim, weights in ((2, (0, 1)), (3, (0, 1, 1)), (4, (0, 1, 1, 2))):
+    # a trajectory that visits each chain level in turn reads off its trion
+    # number, and a superposition its mean trion number
+    for dim in (2, 3):
         visit = Trajectory(times=np.arange(float(dim)), states=np.eye(dim, dtype=complex))
-        assert np.array_equal(excited_population(visit), weights)
+        assert np.array_equal(excited_population(visit), np.arange(dim))
+    mixed = Trajectory(times=np.zeros(1), states=np.array([[0.6, 0.0, 0.8j]]))
+    assert abs(excited_population(mixed)[0] - 2.0 * 0.64) <= 1e-15
 
 
 def test_zero_drive_is_identity():
@@ -76,6 +84,9 @@ def test_zero_drive_is_identity():
     assert rep.exposure_single_ps <= 1e-9
     assert rep.eps_spont == 0.0
     assert rep.adiabatic
+    # with decay the undriven no-jump leg settles on no loss
+    rep = simulate_conditional_gate(PulsedDrive(omega0=0.0), 5.0, gamma_per_ps=1.0 / 300.0)
+    assert abs(rep.eps_spont_lindblad) <= 1e-15
 
 
 def test_default_gate_exposure_and_errors():
@@ -236,7 +247,7 @@ def test_pair_batch_matches_single_runs():
     # a batch doubles its steps until every point settles, so it may take
     # more steps than a point alone; the phases agree within the tolerance
     tol = 1e-9
-    single = _evolve_ground(DRIVE, *pulse_hamiltonian(LEVELS[2], DRIVE.delta), tol)
+    single = _evolve_ground(DRIVE, *pulse_hamiltonian(DRIVE.delta), tol)
     for e_dd in (np.array([1.4446, 3.0, 5.0]), np.array([math.inf, math.inf])):
         _, _, _, phi_cond, end_excited, adiabatic = _pair_gate(DRIVE, single, e_dd, tol)
         for e, phi, end, ok in zip(e_dd, phi_cond, end_excited, adiabatic):
@@ -260,6 +271,7 @@ def test_calibrate_pi_phase():
 def test_calibration_brackets_rk45_root():
     # the oracle's phase crosses pi within 1e-4 meV of the calibrated e_dd
     e_star = calibrate_phase(DRIVE, math.pi)
+    assert abs(e_star - 1.444592580676581) <= 1e-9
     below = gate_phases_rk45(DRIVE, e_star - 1e-4)[0]
     above = gate_phases_rk45(DRIVE, e_star + 1e-4)[0]
     assert (below - math.pi) * (above - math.pi) < 0

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from dotlink import qcore
 from dotlink import (
@@ -36,10 +37,23 @@ def single_dot_hamiltonian(drive):
 
 
 def pair_hamiltonian(delta, e_dd_mev):
-    # (h0, v) of the driven pair {gg, Tg, gT, TT}, with the dipole shift on TT
+    # (h0, v) of the driven pair on its symmetric chain {gg, S, TT},
+    # S = (Tg + gT)/sqrt(2), with the dipole shift on TT; math.inf drops TT,
+    # leaving the blockade {gg, S}
+    if math.isinf(e_dd_mev):
+        return np.diag([0.0, -delta]), np.array([[0, 1], [1, 0]]) / math.sqrt(2.0)
+    h0 = np.diag([0.0, -delta, -2.0 * delta + e_dd_mev / HBAR_MEV_PS])
+    v = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / math.sqrt(2.0)
+    return h0, v
+
+
+def full_pair_hamiltonian(delta, e_dd_mev):
+    # (h0, v, trion numbers) of the driven pair {gg, Tg, gT, TT}, whose
+    # couplings gg-Tg-TT-gT-gg form a cycle; math.inf drops TT
     h0 = np.diag([0.0, -delta, -delta, -2.0 * delta + e_dd_mev / HBAR_MEV_PS])
     v = np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]]) / 2.0
-    return h0.astype(complex), v.astype(complex)
+    n = 3 if math.isinf(e_dd_mev) else 4
+    return h0[:n, :n], v[:n, :n], np.array([0, 1, 1, 2])[:n]
 
 
 def magnus_states(drive, h0, v, n_steps):
@@ -97,6 +111,62 @@ def test_nonhermitian_hamiltonian_rejected():
         magnus_states(PulsedDrive(), np.eye(2), h, 10)
 
 
+def test_magnus_rejects_hamiltonians_off_the_chain():
+    # the full pair's couplings form a cycle, which a tridiagonal gauge
+    # cannot make real: run on the chain kernel, gg-gT and Tg-TT would drop
+    h0, v, _ = full_pair_hamiltonian(0.75, 5.0)
+    with pytest.raises(ValueError, match="v not tridiagonal"):
+        magnus_states(PulsedDrive(), h0, v, 10)
+    rabi = np.array([[0.0, 0.5], [0.5, 0.0]])
+    with pytest.raises(ValueError, match="h0 not diagonal"):
+        magnus_states(PulsedDrive(), np.stack([np.eye(2), rabi]), rabi, 10)
+
+
+@pytest.mark.parametrize("e_dd", [0.5, 1.4446, 5.0, math.inf])
+def test_pair_chain_matches_full_pair(e_dd):
+    # the chain on the Magnus kernel against the full pair on RK45: the
+    # ground phase, and the trion exposure by Simpson's rule on each grid
+    drive = PulsedDrive()
+    h0, v, trions = full_pair_hamiltonian(drive.delta, e_dd)
+    ham = TimeDependentHamiltonian(len(h0), lambda t: h0 + drive.omega(t) * v,
+                                   support=drive.support())
+    full = evolve_schrodinger(ham, basis_state(len(h0), 0), tol=1e-10)
+    chain = Trajectory(*magnus_states(drive, *pair_hamiltonian(drive.delta, e_dd), 1600))
+    assert abs(accumulated_phase(chain, 0) - accumulated_phase(full, 0)) <= 1e-6
+    exposure = [simpson(np.abs(traj.states) ** 2 @ n, x=traj.times) for traj, n in
+                ((chain, np.arange(chain.states.shape[1])), (full, trions))]
+    assert abs(exposure[0] / exposure[1] - 1.0) <= 1e-6
+
+
+def test_gauge_exponential_matches_complex_eigh():
+    # random Hermitian tridiagonal stacks, some couplings zero and some
+    # diagonals degenerate, and the step exponents of an undriven pair and
+    # of one whose S and TT are level at the pulse wings (shift = delta)
+    rng = np.random.default_rng(7)
+    stacks = []
+    for dim in (2, 3, 4):
+        k = np.zeros((64, dim, dim), dtype=complex)
+        off = rng.normal(size=(64, dim - 1)) + 1j * rng.normal(size=(64, dim - 1))
+        off[::3, 0] = 0.0
+        idx = np.arange(dim - 1)
+        k[:, idx, idx + 1] = off
+        k[:, idx + 1, idx] = off.conj()
+        diag = rng.normal(size=(64, dim)) * 5.0
+        diag[::2, 1:] = diag[::2, :1]
+        k[:, np.arange(dim), np.arange(dim)] = diag
+        stacks.append(k)
+    delta = 0.75
+    for drive, shift in ((PulsedDrive(omega0=0.0), 5.0), (PulsedDrive(), delta * HBAR_MEV_PS)):
+        h0, v = pair_hamiltonian(delta, shift)
+        _, exponents = qcore._magnus_exponents(h0[None].astype(complex), v.astype(complex),
+                                               drive.omega, drive.support(), 400)
+        stacks.append(exponents(slice(None))[:, 0])
+    for k in stacks:
+        w, q = np.linalg.eigh(k)
+        ref = (q * np.exp(-1j * w)[..., None, :]) @ q.conj().swapaxes(-1, -2)
+        assert np.max(np.abs(qcore._expm_tridiagonal(k) - ref)) <= 1e-13
+
+
 def test_state_validation():
     ham = rabi_hamiltonian(1.0)
     jump = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -128,9 +198,9 @@ def test_state_validation():
         (mixed([[1.5, 0.0], [0.0, -0.5]]), "negative eigenvalue"),
         (mixed(basis_state(2, 0)), "initial state shape"),
         (mixed(pure_density(basis_state(3, 0))), "initial state shape"),
-        (magnus([1.0, 1.0, 0.0, 0.0]), "state norm off"),
+        (magnus([1.0, 1.0, 0.0]), "state norm off"),
         (magnus(basis_state(2, 0)), "initial state shape"),
-        (magnus(basis_state(4, 0), n_steps=0), "at least one step"),
+        (magnus(basis_state(3, 0), n_steps=0), "at least one step"),
         (end_state(basis_state(3, 0)), "not 2 x 2"),
         (end_state(basis_state(2, 0), n_steps=0), "at least one step"),
     ]
@@ -234,7 +304,7 @@ def test_magnus_batch_matches_single_runs():
     pairs = [pair_hamiltonian(drive.delta, e) for e in (0.5, 1.4446, 5.0)]
     v = pairs[0][1]
     _, batch = magnus_states(drive, np.stack([h0 for h0, _ in pairs]), v, 400)
-    assert batch.shape == (3, 401, 4)
+    assert batch.shape == (3, 401, 3)
     for (h0, _), states in zip(pairs, batch):
         assert np.max(np.abs(magnus_states(drive, h0, v, 400)[1] - states)) <= 1e-13
 
