@@ -151,8 +151,9 @@ def excited_population(traj: Trajectory) -> np.ndarray:
 
 
 ADIABATIC_END_POP = 1e-3
-# a gate leg starts at this many Magnus steps and doubles them until the
-# phases at n and 2n steps agree within PHASE_TOL_PER_TOL * tol rad
+# a gate leg starts at this many Magnus steps, unless calibrate_phase's scan
+# sets fewer, and doubles them until the phases at n and 2n steps agree
+# within PHASE_TOL_PER_TOL * tol rad
 START_STEPS = 400
 PHASE_TOL_PER_TOL = 1e2
 # a settled no-jump loss below -LOSS_ROUNDING is rounding, not a loss
@@ -160,24 +161,26 @@ LOSS_ROUNDING = 1e-15
 
 
 def _evolve_ground(drive: PulsedDrive, h0: np.ndarray, v: np.ndarray, tol: float,
-                   adiabatic_only: bool = False):
+                   adiabatic_only: bool = False, start_steps: int = START_STEPS):
     """Grid times, states and ground-state phases under h0 + omega(t) * v.
 
     h0 is one (d, d) Hamiltonian or a (B, d, d) stack, each started in level
-    0.  The step count doubles from START_STEPS until, for every element
+    0.  The step count doubles from start_steps until, for every element
     whose ground amplitude is not depleted (and, with adiabatic_only, ends
     with less than ADIABATIC_END_POP outside it), the phases at n and 2n
     steps agree within PHASE_TOL_PER_TOL * tol rad and no phase step of the
     2n grid exceeds MAX_PHASE_STEP; the 2n result is returned.  At 4th order
     its phase error is about a fifteenth of the n-to-2n difference, so
-    below 10 * tol rad: 1e-8 rad at the gate's default tol of 1e-9.  Other
+    below 10 * tol rad: 1e-8 rad at the gate's default tol of 1e-9.  A low
+    start_steps saves work only where a loose tol settles early, as in
+    calibrate_phase's scan; a tight tol doubles past it anyway.  Other
     elements get a NaN phase: near the two-photon resonance the ground
     amplitude can pass close to zero mid-pulse, and resolving its winding
     there takes tens of thousands of steps.  Past qcore.MAX_MAGNUS_STEPS
     the propagator raises RuntimeError.
     """
     psi0 = basis_state(v.shape[0], 0)
-    n_steps, previous = START_STEPS, None
+    n_steps, previous = start_steps, None
     while True:
         times, states = magnus_propagate(h0, v, drive.omega, drive.support(),
                                          psi0, n_steps)
@@ -224,7 +227,7 @@ def _spont_error(drive: PulsedDrive, gamma_per_ps: float, tol: float) -> float:
 
 
 def _pair_gate(drive: PulsedDrive, single, e_dd_mev: np.ndarray, tol: float,
-               adiabatic_only: bool = False):
+               adiabatic_only: bool = False, start_steps: int = START_STEPS):
     """The pair propagated at each e_dd and combined with the single-dot leg.
 
     single is _evolve_ground's (times, states, phase) for one dot; e_dd_mev
@@ -245,7 +248,7 @@ def _pair_gate(drive: PulsedDrive, single, e_dd_mev: np.ndarray, tol: float,
         shifts = np.full_like(shifts, math.inf)
     pairs = [pulse_hamiltonian(drive.delta, 2, s) for s in shifts]
     times, states, phases = _evolve_ground(
-        drive, np.stack([h0 for h0, _ in pairs]), pairs[0][1], tol, adiabatic_only)
+        drive, np.stack([h0 for h0, _ in pairs]), pairs[0][1], tol, adiabatic_only, start_steps)
     _, single_states, phi_single = single
     # the four inputs 11 - 01 - 10 + 00, summed in that order
     phi_cond = phases - phi_single - phi_single + 0.0
@@ -309,13 +312,19 @@ def simulate_conditional_gate(drive: PulsedDrive, e_dd_mev: float,
 
 
 # calibrate_phase accepts a scan point within PHASE_TOL_RAD of the target
-# phase, scans e_dd in steps of SCAN_STEP_MEV, SCAN_CHUNK points per batch,
-# and narrows a bracket to XTOL_MEV, propagating at CALIBRATION_TOL
+# phase, scans e_dd in steps of SCAN_STEP_MEV, SCAN_CHUNK points per batch and
+# at most MAX_SCAN_POINTS in all, and narrows a bracket to XTOL_MEV,
+# propagating at CALIBRATION_TOL
 PHASE_TOL_RAD = 1e-3
 SCAN_STEP_MEV = 0.05
 SCAN_CHUNK = 32
+MAX_SCAN_POINTS = 10_000
 XTOL_MEV = 1e-4
 CALIBRATION_TOL = 1e-8
+# the scan only locates: it propagates from SCAN_START_STEPS at SCAN_TOL, whose
+# n- and 2n-step phases agree within 1e-4 rad, a tenth of PHASE_TOL_RAD
+SCAN_TOL = 1e-6
+SCAN_START_STEPS = 100
 
 
 def calibrate_phase(drive: PulsedDrive, target_rad: float,
@@ -325,24 +334,32 @@ def calibrate_phase(drive: PulsedDrive, target_rad: float,
     Scans e_dd upward, a batch of points at a time, keeping only points
     where the gate is adiabatic and the ground amplitude is not depleted
     (the phase is ill-conditioned across the two-photon resonance where
-    population escapes).  Inside the first adjacent pair of good points
-    that brackets the target it runs false position until the phase is
-    within the propagator's accuracy of the target or the bracket is
-    narrower than XTOL_MEV.  The single-dot leg, the same at every e_dd, is
-    propagated once.  Raises RuntimeError with the attainable phase range
-    when no such bracket exists.
+    population escapes).  The scan propagates at SCAN_TOL and only locates:
+    before it accepts a point within PHASE_TOL_RAD of the target, or takes
+    the first adjacent pair of good points that brackets it, it propagates
+    that point, or both ends, again at CALIBRATION_TOL, and goes on with
+    those values where they overturn the decision.  Inside the bracket it
+    runs false position until the phase is within the propagator's accuracy
+    of the target or the bracket is narrower than XTOL_MEV.  The single-dot
+    leg, the same at every e_dd, is propagated once.  A range that is not
+    finite, or that spans more than MAX_SCAN_POINTS grid steps, raises
+    ValueError; no bracket raises RuntimeError with the attainable phase
+    range.
     """
     lo, hi = e_dd_range
-    if not (0.0 <= lo < hi):
-        raise ValueError(f"bad e_dd range ({lo}, {hi})")
+    if not (0.0 <= lo < hi < math.inf):
+        raise ValueError(f"bad e_dd range ({lo}, {hi}): need 0 <= lo < hi, both finite")
+    if (hi - lo) / SCAN_STEP_MEV > MAX_SCAN_POINTS:
+        raise ValueError(f"e_dd range ({lo}, {hi}) spans more than {MAX_SCAN_POINTS} "
+                         f"grid steps of {SCAN_STEP_MEV} meV")
 
     single = _evolve_ground(
         drive, *pulse_hamiltonian(drive.delta), CALIBRATION_TOL, True)
 
-    def probe(e_dd: np.ndarray, adiabatic_only: bool = True):
+    def probe(e_dd, tol=CALIBRATION_TOL, start_steps=START_STEPS, adiabatic_only=True):
         """Offset from the target phase, and whether each point is usable."""
-        *_, phi_cond, _, adiabatic = _pair_gate(drive, single, e_dd, CALIBRATION_TOL,
-                                                adiabatic_only)
+        *_, phi_cond, _, adiabatic = _pair_gate(drive, single, np.asarray(e_dd, dtype=float),
+                                                tol, adiabatic_only, start_steps)
         offset = phi_cond - target_rad
         return offset, adiabatic & np.isfinite(offset)
 
@@ -353,7 +370,7 @@ def calibrate_phase(drive: PulsedDrive, target_rad: float,
             c = (a * fb - b * fa) / (fb - fa)
             # like the root finder it replaced, this takes the phase at
             # points inside the bracket whether or not they are adiabatic
-            offset, _ = probe(np.array([c]), adiabatic_only=False)
+            offset, _ = probe([c], adiabatic_only=False)
             fc = float(offset[0])
             if math.isnan(fc):
                 raise RuntimeError(f"phase undefined at e_dd = {c:.6f} meV "
@@ -373,19 +390,25 @@ def calibrate_phase(drive: PulsedDrive, target_rad: float,
     if grid[-1] < hi:
         grid = np.append(grid, hi)
 
-    prev_e, prev_f, seen = None, None, []
+    prev, seen = None, []   # the last usable point and its offset
     for start in range(0, len(grid), SCAN_CHUNK):
         chunk = grid[start:start + SCAN_CHUNK]
-        for e, f, ok in zip(chunk.tolist(), *probe(chunk)):
-            if not ok:
-                prev_e = None
-                continue
-            seen.append(f + target_rad)
-            if abs(f) <= PHASE_TOL_RAD:
-                return e
-            if prev_e is not None and prev_f * f < 0:
-                return float(refine(prev_e, prev_f, e, f))
-            prev_e, prev_f = e, f
+        for e, f, ok in zip(chunk.tolist(), *probe(chunk, SCAN_TOL, SCAN_START_STEPS)):
+            if ok:
+                seen.append(f + target_rad)
+            # accept or bracket only on values confirmed at CALIBRATION_TOL
+            if ok and abs(f) <= PHASE_TOL_RAD:
+                (f,), (ok,) = probe([e])
+                if ok and abs(f) <= PHASE_TOL_RAD:
+                    return e
+            if ok and prev is not None and prev[1] * f < 0:
+                (prev_f, f), (prev_ok, ok) = probe([prev[0], e])
+                prev = (prev[0], prev_f) if prev_ok else None
+                if ok and abs(f) <= PHASE_TOL_RAD:
+                    return e
+                if ok and prev is not None and prev[1] * f < 0:
+                    return float(refine(*prev, e, f))
+            prev = (e, f) if ok else None
 
     if seen:
         msg = (f"target {target_rad:.4f} rad not bracketed; attainable phases "

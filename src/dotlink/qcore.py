@@ -267,17 +267,34 @@ def _expm_2x2(k: np.ndarray) -> np.ndarray:
 
     With m = tr K / 2 and A = K - m I, A^2 = s^2 I where s^2 = -det A, so
     exp(-i K) = e^{-i m} [cos s I - i (sin s / s) A]; both factors are even
-    in s, so either square root serves.
+    in s, so either square root serves.  Past |Im s| = 1, as where a decay
+    term dwarfs the rest of a step, cos s and sin s can overflow while
+    e^{-i m} underflows; there the factors come from the exponentials
+    E+- = e^{-i (m +- s)} of K's eigenvalues, which are no larger than the
+    result: exp(-i K) = (E+ + E-) / 2 I + (E+ - E-) / (2 s) A, and |s| > 1
+    keeps the difference from cancelling.  The sign of s is chosen so that
+    m + s is the larger eigenvalue; the smaller, det K / (m + s), is then
+    free of the cancellation in m - s.
     """
     m = 0.5 * (k[..., 0, 0] + k[..., 1, 1])
     a = k - m[..., None, None] * np.eye(2)
     s = np.sqrt(a[..., 0, 0] ** 2 + a[..., 0, 1] * a[..., 1, 0])
+    big = np.abs(s.imag) > 1.0
+    near = np.where(big, 0.0, s)
     # sin s / s of s itself: np.sinc's pi * (s / pi) moves a large s enough
     # to break cos^2 + sin^2 = 1 by ~1e-12 per step
-    zero = s == 0
-    sinc = np.where(zero, 1.0, np.sin(s) / np.where(zero, 1.0, s))
-    u = np.cos(s)[..., None, None] * np.eye(2) - 1j * sinc[..., None, None] * a
-    return np.exp(-1j * m)[..., None, None] * u
+    zero = near == 0
+    sinc = np.where(zero, 1.0, np.sin(near) / np.where(zero, 1.0, near))
+    u = np.cos(near)[..., None, None] * np.eye(2) - 1j * sinc[..., None, None] * a
+    u = np.exp(-1j * np.where(big, 0.0, m))[..., None, None] * u
+    if np.any(big):
+        kb, mb, sb = k[big], m[big], s[big]
+        sb = np.where((mb.conj() * sb).real < 0, -sb, sb)
+        det = kb[:, 0, 0] * kb[:, 1, 1] - kb[:, 0, 1] * kb[:, 1, 0]
+        ep, em = np.exp(-1j * (mb + sb)), np.exp(-1j * det / (mb + sb))
+        u[big] = (0.5 * (ep + em)[:, None, None] * np.eye(2)
+                  + (0.5 * (ep - em) / sb)[:, None, None] * a[big])
+    return u
 
 
 def magnus_end_state(h0: np.ndarray, v: np.ndarray, omega: Callable,

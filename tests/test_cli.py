@@ -290,6 +290,11 @@ BAD_INPUTS = [
     # a trion lifetime this short is refused before the no-jump leg's decay
     # overflows its step exponentials
     (["gate", "--set", "dot.t_rad_ps=1e-300"], 1, "validation error: eps_spont = "),
+    # a decay term far above the drive: the no-jump leg's step exponentials
+    # no longer overflow into NaN, and its loss, ~1.3e-5, still moves by
+    # 1.2e-9 from 51,200 to 102,400 steps, so it settles past the step cap
+    (["gate", "--set", "drive.delta=1e5", "--set", "dot.t_rad_ps=1e-6"], 2,
+     "numerical failure: solver work budget"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Conditional-phase gate: phases, trion exposure, calibration, Raman error."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from dotlink import (
     raman_gate_error,
     simulate_conditional_gate,
 )
-from dotlink import qcore
-from dotlink.gatesim import (_evolve_ground, _pair_gate, _spont_error, excited_population,
-                             pulse_hamiltonian)
+from dotlink import gatesim, qcore
+from dotlink.gatesim import (CALIBRATION_TOL, PHASE_TOL_RAD, SCAN_START_STEPS, SCAN_STEP_MEV,
+                             SCAN_TOL, _evolve_ground, _pair_gate, _spont_error,
+                             excited_population, pulse_hamiltonian)
 from dotlink.units import HBAR_MEV_PS
 from oracles import blockade_quadrature, gate_phases_rk45, spont_error_master_equation
 
@@ -286,6 +288,75 @@ def test_calibration_step_count_ignores_skipped_points(monkeypatch):
     assert abs(calibrate_phase(drive, 3.045682) - 1.48948) <= 1e-4
     with pytest.raises(RuntimeError, match="work budget"):
         simulate_conditional_gate(drive, 0.95, lindblad_check=False)
+
+
+def test_calibration_work_and_pins(monkeypatch):
+    # the scan locates at SCAN_TOL and confirms at CALIBRATION_TOL: 16,800
+    # step exponentials at the default drive, where a scan at CALIBRATION_TOL
+    # took 43,200; gate-design inputs (delta, tau_ps, target) keep their e_dd
+    work, calls = [], []
+    propagate, pair_gate = gatesim.magnus_propagate, gatesim._pair_gate
+
+    def counted(h0, v, omega, support, psi0, n_steps):
+        work.append(n_steps * (len(h0) if np.ndim(h0) == 3 else 1))
+        return propagate(h0, v, omega, support, psi0, n_steps)
+
+    def logged(drive, single, e_dd, tol, *args):
+        calls.append((len(e_dd), tol))
+        return pair_gate(drive, single, e_dd, tol, *args)
+
+    monkeypatch.setattr(gatesim, "magnus_propagate", counted)
+    monkeypatch.setattr(gatesim, "_pair_gate", logged)
+    calibrate_phase(PulsedDrive(), math.pi)
+    assert sum(work) <= 20_000
+    # one scan chunk, both bracket ends confirmed in one call, then the
+    # false-position probes
+    assert calls[:2] == [(32, SCAN_TOL), (2, CALIBRATION_TOL)]
+    assert set(calls[2:]) == {(1, CALIBRATION_TOL)}
+    for delta, tau_ps, target, e_dd in ((0.7556, 11.2129, 3.058758, 1.480983105394789),
+                                        (0.735, 11.3351, 3.098623, 1.4765547812391489),
+                                        (0.7551, 11.3915, 3.000021, 1.509560632409866)):
+        drive = PulsedDrive(delta=delta, tau_ps=tau_ps)
+        assert abs(calibrate_phase(drive, target) - e_dd) <= 1e-9
+
+
+def test_calibration_confirms_before_accepting():
+    # a target PHASE_TOL_RAD - |d|/2 from a grid point's phase as the scan
+    # batch sees it (SCAN_TOL), on the side away from its phase alone at
+    # CALIBRATION_TOL (d apart), is accepted by the scan and refused by the
+    # confirmation, so the scan goes on and refines a bracket
+    lo, hi = 1.35, 2.35
+    grid = np.arange(lo, hi, SCAN_STEP_MEV)
+    if grid[-1] < hi:
+        grid = np.append(grid, hi)
+    single = _evolve_ground(DRIVE, *pulse_hamiltonian(DRIVE.delta), CALIBRATION_TOL, True)
+    coarse = _pair_gate(DRIVE, single, grid, SCAN_TOL, True, SCAN_START_STEPS)[3][1]
+    exact = _pair_gate(DRIVE, single, grid[1:2], CALIBRATION_TOL, True)[3][0]
+    d = exact - coarse
+    assert d != 0.0
+    target = coarse - math.copysign(PHASE_TOL_RAD - abs(d) / 2, d)
+    assert abs(coarse - target) <= PHASE_TOL_RAD < abs(exact - target)
+    e_star = calibrate_phase(DRIVE, target, (lo, hi))
+    assert e_star not in grid
+    assert grid[0] < e_star < grid[2]
+    check = simulate_conditional_gate(DRIVE, e_star, tol=CALIBRATION_TOL, lindblad_check=False)
+    assert abs(check.phi_cond_rad - target) <= 1e-6
+    # a nonzero target at that confirmed phase returns the grid point itself
+    assert calibrate_phase(DRIVE, float(exact), (lo, hi)) == grid[1]
+
+
+def test_calibration_range_checks(monkeypatch):
+    # refused before any propagation: an infinite bound made numpy's arange
+    # fail with its own message, and (0, 1e7) would build a 2e8-point grid
+    def no_propagation(*args):
+        raise AssertionError("propagated")
+
+    monkeypatch.setattr(gatesim, "magnus_propagate", no_propagation)
+    for e_dd_range in ((0.0, math.inf), (0.0, math.nan), (-1.0, 1.0)):
+        with pytest.raises(ValueError, match=re.escape(f"e_dd range {e_dd_range}")):
+            calibrate_phase(DRIVE, math.pi, e_dd_range)
+    with pytest.raises(ValueError, match=r"e_dd range \(0.0, 10000000.0\) spans more than"):
+        calibrate_phase(DRIVE, math.pi, (0.0, 1e7))
 
 
 @pytest.mark.parametrize("e_dd", [0.5, 1.4446, 3.0, 5.0, 50.0, math.inf])

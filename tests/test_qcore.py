@@ -343,6 +343,33 @@ def test_end_state_keeps_norm_far_detuned():
     assert abs(np.vdot(end, end).real - 1.0) <= 1e-12
 
 
+def test_expm_2x2_with_large_decay_matches_scipy():
+    # the no-jump step exponents of a trion decaying at gamma from 1 to
+    # 1e6 /ps, far and near detuned, and random complex 2 x 2 stacks whose
+    # diagonals carry decay terms up to 1e6: where |Im s| passes 710, cos s
+    # and sin s overflow while e^{-i m} underflows, which gave NaN steps (a
+    # warning fails the test)
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(11)
+    v = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+    stacks = []
+    for delta in (0.75, 1e5):
+        drive = PulsedDrive(delta=delta)
+        for gamma in (1.0, 1e2, 1e4, 1e6):
+            h0 = np.diag([0.0, -delta - 0.5j * gamma])
+            _, exponents = qcore._magnus_exponents(h0[None], v, drive.omega,
+                                                   drive.support(), 400)
+            stacks.append(exponents(slice(None))[:, 0])
+    k = rng.normal(size=(256, 2, 2)) + 1j * rng.normal(size=(256, 2, 2))
+    k[:, [0, 1], [0, 1]] -= 1j * 10.0 ** rng.uniform(0.0, 6.0, size=(256, 2))
+    stacks.append(k)
+    for k in stacks:
+        ref = np.array([expm(-1j * kk) for kk in k])
+        # scipy's scaling and squaring is itself off by ~1e-11 at |K| ~ 1e5
+        assert np.max(np.abs(qcore._expm_2x2(k) - ref)) <= 1e-10
+
+
 def test_tolerance_halving_stability():
     drive = PulsedDrive()
     ham = single_dot_hamiltonian(drive)
