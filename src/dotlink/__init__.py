@@ -13,9 +13,8 @@ from .photonlink import (BellOutcome, LinkBudget, bsa_coincidence,
                          dephasing_error, link_attempt_stats,
                          photon_efficiency, sample_link_times,
                          wavepacket_overlap_error)
-from .qcore import (TimeDependentHamiltonian, Trajectory, accumulated_phase,
-                    basis_state, evolve_lindblad, evolve_schrodinger,
-                    pure_density)
+from .qcore import (TimeDependentHamiltonian, Trajectory, basis_state,
+                    evolve_lindblad, evolve_schrodinger, pure_density)
 from .readout import (ReadoutConfig, ReadoutReport, poisson_limit_error,
                       simulate_readout)
 from .repeater import (ChainConfig, ChainResult, WernerPair,

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import (MAX_PHASE_STEP, Trajectory, basis_state, depleted, magnus_end_state,
-                    magnus_propagate, norm_drift, phase_steps)
+from .qcore import (MAX_PHASE_STEP, Trajectory, basis_state, depleted, magnus_propagate,
+                    norm_drift, phase_steps)
 from .units import HBAR_MEV_PS
 
 # pulse support: clip where the envelope falls to 1e-6 of its peak
@@ -206,7 +206,9 @@ def _spont_error(drive: PulsedDrive, gamma_per_ps: float, tol: float) -> float:
     {g, T} block follows i dpsi/dt = (h0 + omega(t) v - i gamma/2 |T><T|) psi
     exactly and the sink holds 1 - |psi(t_end)|^2: the no-jump evolution of
     the quantum-trajectory method (Dalibard, Castin & Molmer, PRL 68, 580
-    (1992); Plenio & Knight, RMP 70, 101 (1998)).  The step count doubles
+    (1992); Plenio & Knight, RMP 70, 101 (1998)).  It runs on
+    magnus_propagate like the coherent legs, the decay term on h0's
+    diagonal, and reads the last state.  The step count doubles
     from START_STEPS until the n- and 2n-step values agree within tol and
     the 2n value is no more negative than LOSS_ROUNDING; that value is
     returned.  Far detuned, the loss is near the rounding of 1 - |psi|^2
@@ -218,7 +220,7 @@ def _spont_error(drive: PulsedDrive, gamma_per_ps: float, tol: float) -> float:
     psi0 = basis_state(2, 0)
     n_steps, previous = START_STEPS, None
     while True:
-        psi = magnus_end_state(h0, v, drive.omega, drive.support(), psi0, n_steps)
+        psi = magnus_propagate(h0, v, drive.omega, drive.support(), psi0, n_steps)[1][-1]
         lost = 1.0 - float(np.vdot(psi, psi).real)
         if previous is not None and abs(lost - previous) <= tol and lost >= -LOSS_ROUNDING:
             return lost

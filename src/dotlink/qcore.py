@@ -1,15 +1,15 @@
 """Small time-dependent quantum solvers for few-level systems.
 
 The gate model propagates H(t) = h0 + omega(t)*v, the form of every gate
-Hamiltonian, with one fixed-step 4th-order Magnus step: magnus_propagate
-batches it over a stack of real diagonal h0 with one Hermitian tridiagonal
-v, the trion chains of the gate, and magnus_end_state takes a 2-level h0
-that may carry a decay term.  Schrodinger and Lindblad evolution under any
-Hamiltonian wrap scipy's RK45; they serve the public API and the tests, and
-no gate run reaches them.  States are plain complex vectors, density
-matrices plain complex arrays.  Norm and trace drift are recorded on the
-trajectory and never silently corrected; callers decide what drift is
-acceptable.
+Hamiltonian, with one fixed-step 4th-order Magnus propagator,
+magnus_propagate, batched over a stack of diagonal h0 with one Hermitian
+tridiagonal v: the trion chains of the gate, and on 2 levels also the
+no-jump generator, whose h0 carries a decay term.  Schrodinger and
+Lindblad evolution under any Hamiltonian wrap scipy's RK45; they serve the
+public API and the tests, and no gate run reaches them.  States are plain
+complex vectors, density matrices plain complex arrays.  Norm and trace
+drift are recorded on the trajectory and never silently corrected; callers
+decide what drift is acceptable.
 """
 
 from __future__ import annotations
@@ -189,6 +189,8 @@ def _magnus_exponents(stack: np.ndarray, v: np.ndarray, omega: Callable,
     comm = stack @ v - v @ stack
     times = np.linspace(t0, t1, n_steps + 1)
     dt = (t1 - t0) / n_steps
+    if not math.isfinite(dt * dt):
+        raise RuntimeError(f"Magnus step width {dt:.3e} ps is too wide: its square overflows")
     w1, w2 = (np.asarray(omega(times[:-1] + c * dt), dtype=float) for c in _GL_NODES)
     # per step, broadcast over (batch, d, d)
     mean_w = (0.5 * dt * (w1 + w2))[:, None, None, None]
@@ -222,22 +224,28 @@ def magnus_propagate(h0: np.ndarray, v: np.ndarray, omega: Callable,
 
     h0 is one real diagonal (d, d) Hamiltonian or a (B, d, d) stack of them,
     each propagated from psi0; v is a Hermitian tridiagonal (d, d), and omega
-    maps an array of times to drive amplitudes.  Each step is the 4th-order
-    Magnus exponential exp(-i K) (see _magnus_exponents), K is then
-    Hermitian tridiagonal, and its unitary comes from _expm_tridiagonal,
-    MAGNUS_BLOCK_STEPS at a time.  Returns the n_steps + 1 grid times and
-    states of shape (..., n_steps + 1, d).
+    maps an array of times to drive amplitudes.  On 2 levels the diagonal of
+    h0 may also carry a decay term -i gamma/2, so the norm is not kept; a
+    gain (positive imaginary part) is refused.  Each step is the 4th-order
+    Magnus exponential exp(-i K) (see _magnus_exponents), taken
+    MAGNUS_BLOCK_STEPS at a time: on 2 levels by _expm_2x2, on more by
+    _expm_tridiagonal, K then being Hermitian tridiagonal.  Returns the
+    n_steps + 1 grid times and states of shape (..., n_steps + 1, d).
     """
     h0 = np.asarray(h0, dtype=complex)
     v = np.asarray(v, dtype=complex)
     dim = v.shape[-1]
     if v.shape != (dim, dim) or h0.shape[-2:] != (dim, dim) or h0.ndim > 3:
         raise ValueError(f"h0 {h0.shape} and v {v.shape} are not (B,) d x d")
-    for name, h in (("h0", h0), ("v", v)):
+    # on 2 levels the diagonal may carry a decay term; the rest is Hermitian
+    decay = h0.imag * np.eye(dim) if dim == 2 else 0.0
+    for name, h in (("h0", h0 - 1j * decay), ("v", v)):
         if not np.array_equal(h, h.conj().swapaxes(-1, -2)):
             raise ValueError(f"{name} not hermitian")
     if np.any(h0[..., ~np.eye(dim, dtype=bool)]):
         raise ValueError("h0 not diagonal")
+    if np.any(decay > 0.0):
+        raise ValueError("h0 has gain: a positive imaginary part on its diagonal")
     if np.any(np.triu(v, 2)):
         raise ValueError("v not tridiagonal")
     psi0 = np.asarray(psi0, dtype=complex)
@@ -246,6 +254,7 @@ def magnus_propagate(h0: np.ndarray, v: np.ndarray, omega: Callable,
     _check_norm(psi0)
     stack = h0.reshape(-1, dim, dim)
     times, exponents = _magnus_exponents(stack, v, omega, support, n_steps)
+    expm = _expm_2x2 if dim == 2 else _expm_tridiagonal
 
     n_batch = len(stack)
     states = np.empty((n_steps + 1, n_batch, dim, 1), dtype=complex)
@@ -255,7 +264,7 @@ def magnus_propagate(h0: np.ndarray, v: np.ndarray, omega: Callable,
     for b in range(0, n_batch, per_batch):
         rows = slice(b, b + per_batch)
         for s in range(0, n_steps, per_block):
-            u = _expm_tridiagonal(exponents(slice(s, s + per_block), rows))
+            u = expm(exponents(slice(s, s + per_block), rows))
             for j, u_j in enumerate(u, start=s):
                 np.matmul(u_j, states[j, rows], out=states[j + 1, rows])
     states = np.moveaxis(states[..., 0], 0, -2)
@@ -278,7 +287,15 @@ def _expm_2x2(k: np.ndarray) -> np.ndarray:
     """
     m = 0.5 * (k[..., 0, 0] + k[..., 1, 1])
     a = k - m[..., None, None] * np.eye(2)
-    s = np.sqrt(a[..., 0, 0] ** 2 + a[..., 0, 1] * a[..., 1, 0])
+    # s^2 on A scaled exactly by a power of 2, so it cannot overflow past
+    # entries of 1e154, and its off-diagonal product from real parts, so a
+    # Hermitian A gives it exactly real: an imaginary part rounded to
+    # ~1e-16 |s|^2 would cross the |Im s| = 1 switch past |s| ~ 1e16
+    scale = np.ldexp(1.0, -np.frexp(np.max(np.abs(a), axis=(-2, -1)))[1])
+    b = a * scale[..., None, None]
+    p, q = b[..., 0, 1], b[..., 1, 0]
+    s = np.sqrt(b[..., 0, 0] ** 2 + (p.real * q.real - p.imag * q.imag)
+                + 1j * (p.real * q.imag + p.imag * q.real)) / scale
     big = np.abs(s.imag) > 1.0
     near = np.where(big, 0.0, s)
     # sin s / s of s itself: np.sinc's pi * (s / pi) moves a large s enough
@@ -295,35 +312,6 @@ def _expm_2x2(k: np.ndarray) -> np.ndarray:
         u[big] = (0.5 * (ep + em)[:, None, None] * np.eye(2)
                   + (0.5 * (ep - em) / sb)[:, None, None] * a[big])
     return u
-
-
-def magnus_end_state(h0: np.ndarray, v: np.ndarray, omega: Callable,
-                     support: tuple[float, float], psi0: np.ndarray,
-                     n_steps: int) -> np.ndarray:
-    """End state of a 2-level system under i dpsi/dt = (h0 + omega(t)*v) psi.
-
-    The steps are magnus_propagate's, but h0 need not be Hermitian, so a
-    decay term -i gamma/2 on its diagonal is allowed and the norm is not
-    kept.  Each step exponential is the 2 x 2 closed form, and only the end
-    state is formed: the step matrices, MAGNUS_BLOCK_STEPS at a time, are
-    multiplied as a pairwise tree.
-    """
-    h0 = np.asarray(h0, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    psi0 = np.asarray(psi0, dtype=complex)
-    if h0.shape != (2, 2) or v.shape != (2, 2) or psi0.shape != (2,):
-        raise ValueError(f"h0 {h0.shape}, v {v.shape} and psi0 {psi0.shape} "
-                         f"are not 2 x 2, 2 x 2 and 2")
-    _, exponents = _magnus_exponents(h0[None], v, omega, support, n_steps)
-    psi = psi0
-    for s in range(0, n_steps, MAGNUS_BLOCK_STEPS):
-        u = _expm_2x2(exponents(slice(s, s + MAGNUS_BLOCK_STEPS))[:, 0])
-        while len(u) > 1:
-            # later steps act on the left; an odd last step waits a round
-            paired = u[1::2] @ u[:len(u) - 1:2]
-            u = np.concatenate((paired, u[len(u) - 1:])) if len(u) % 2 else paired
-        psi = u[0] @ psi
-    return psi
 
 
 def evolve_lindblad(ham: TimeDependentHamiltonian,
@@ -378,25 +366,3 @@ def phase_steps(amps: np.ndarray) -> np.ndarray:
 def depleted(amps: np.ndarray) -> np.ndarray:
     """Whether amplitude histories (last axis) end or start too empty for a phase."""
     return np.minimum(np.abs(amps[..., 0]), np.abs(amps[..., -1])) <= MIN_PHASE_AMPLITUDE
-
-
-def accumulated_phase(traj: Trajectory, index: int) -> float:
-    """Unwrapped phase gained by one basis amplitude over a pure trajectory.
-
-    For a state parked on a diagonal level of energy E this equals -E*T/hbar.
-    It is the sum of the principal-value increments between grid points.
-    RuntimeError is raised when the tracked component is depleted at either
-    end (|amplitude| <= MIN_PHASE_AMPLITUDE), so its phase is not
-    meaningful, or when an increment exceeds MAX_PHASE_STEP, so the grid is
-    too coarse to unwrap.
-    """
-    amps = traj.amplitudes(index)
-    if depleted(amps):
-        raise RuntimeError(
-            f"component {index} too depleted for a phase "
-            f"(|a| = {abs(amps[0]):.3f} start, {abs(amps[-1]):.3f} end)")
-    steps = phase_steps(amps)
-    worst = float(np.max(np.abs(steps), initial=0.0))
-    if worst > MAX_PHASE_STEP:
-        raise RuntimeError(f"phase step of {worst:.3f} rad too coarse to unwrap")
-    return float(np.sum(steps))

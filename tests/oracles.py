@@ -3,7 +3,8 @@
 Everything here is derived by a different route than the library code:
 adiabatic quadratures via direct numerical integration of dressed-state
 eigenvalues, gate phases via adaptive RK45 on Hamiltonians written out
-here (the library propagates with fixed-step Magnus), the spontaneous-emission
+here (the library propagates with fixed-step Magnus) and read off a
+trajectory by summing principal-value increments, the spontaneous-emission
 error via RK45 on the Lindblad master equation with a sink level (the library
 takes the norm lost under the no-jump generator), the swap channel via a
 brute-force 4-qubit density matrix,
@@ -119,6 +120,34 @@ def gate_phases_rk45(drive, e_dd_mev: float, tol: float = 1e-10):
     single = _ground_phase_rk45(drive, h_single, v_single, tol)
     double = _ground_phase_rk45(drive, h_pair, v_pair, tol)
     return double - 2.0 * single, single, double
+
+
+# a tracked amplitude needs this modulus at both ends for a meaningful phase,
+# and an increment between grid points larger than this may have wrapped
+_MIN_PHASE_AMPLITUDE = 0.5
+_MAX_PHASE_STEP = np.pi / 2
+
+
+def accumulated_phase(traj, index: int) -> float:
+    """Unwrapped phase gained by one basis amplitude over a pure trajectory.
+
+    For a state parked on a diagonal level of energy E this equals -E*T/hbar.
+    It is the sum of the principal-value increments of traj.states[:, index]
+    between grid points.  RuntimeError is raised when the tracked component
+    is depleted at either end (|amplitude| <= 0.5), so its phase is not
+    meaningful, or when an increment exceeds pi/2, so the grid is too coarse
+    to unwrap.
+    """
+    amps = traj.states[:, index]
+    if min(abs(amps[0]), abs(amps[-1])) <= _MIN_PHASE_AMPLITUDE:
+        raise RuntimeError(
+            f"component {index} too depleted for a phase "
+            f"(|a| = {abs(amps[0]):.3f} start, {abs(amps[-1]):.3f} end)")
+    steps = np.angle(amps[1:] * amps[:-1].conj())
+    worst = float(np.max(np.abs(steps), initial=0.0))
+    if worst > _MAX_PHASE_STEP:
+        raise RuntimeError(f"phase step of {worst:.3f} rad too coarse to unwrap")
+    return float(np.sum(steps))
 
 
 # ---- brute-force entanglement swap ----------------------------------------

@@ -295,6 +295,8 @@ BAD_INPUTS = [
     # 1.2e-9 from 51,200 to 102,400 steps, so it settles past the step cap
     (["gate", "--set", "drive.delta=1e5", "--set", "dot.t_rad_ps=1e-6"], 2,
      "numerical failure: solver work budget"),
+    # a step this wide overflows the square in the Magnus commutator term
+    (["gate", "--set", "drive.tau_ps=1e300"], 2, "numerical failure: Magnus step width"),
 ]
 
 

@@ -11,14 +11,13 @@ from dotlink import (
     PulsedDrive,
     TimeDependentHamiltonian,
     Trajectory,
-    accumulated_phase,
     basis_state,
     evolve_lindblad,
     evolve_schrodinger,
     pure_density,
 )
 from dotlink.units import HBAR_MEV_PS
-from oracles import single_dot_quadrature
+from oracles import accumulated_phase, single_dot_quadrature
 
 
 def rabi_hamiltonian(omega):
@@ -140,8 +139,10 @@ def test_pair_chain_matches_full_pair(e_dd):
 
 def test_gauge_exponential_matches_complex_eigh():
     # random Hermitian tridiagonal stacks, some couplings zero and some
-    # diagonals degenerate, and the step exponents of an undriven pair and
-    # of one whose S and TT are level at the pulse wings (shift = delta)
+    # diagonals degenerate, the step exponents of an undriven pair and of
+    # one whose S and TT are level at the pulse wings (shift = delta), and
+    # those of the single dot; the 2-level stacks also go through the
+    # closed form that magnus_propagate takes on 2 levels
     rng = np.random.default_rng(7)
     stacks = []
     for dim in (2, 3, 4):
@@ -161,10 +162,17 @@ def test_gauge_exponential_matches_complex_eigh():
         _, exponents = qcore._magnus_exponents(h0[None].astype(complex), v.astype(complex),
                                                drive.omega, drive.support(), 400)
         stacks.append(exponents(slice(None))[:, 0])
+    h0, v = pair_hamiltonian(delta, 5.0)
+    _, exponents = qcore._magnus_exponents(h0[None, :2, :2].astype(complex),
+                                           v[:2, :2].astype(complex), PulsedDrive().omega,
+                                           PulsedDrive().support(), 400)
+    stacks.append(exponents(slice(None))[:, 0])
     for k in stacks:
         w, q = np.linalg.eigh(k)
         ref = (q * np.exp(-1j * w)[..., None, :]) @ q.conj().swapaxes(-1, -2)
         assert np.max(np.abs(qcore._expm_tridiagonal(k) - ref)) <= 1e-13
+        if k.shape[-1] == 2:
+            assert np.max(np.abs(qcore._expm_2x2(k) - ref)) <= 1e-13
 
 
 def test_state_validation():
@@ -182,10 +190,14 @@ def test_state_validation():
         return lambda: qcore.magnus_propagate(h0, v, PulsedDrive().omega, (-1.0, 1.0),
                                               psi0, n_steps)
 
-    def end_state(psi0, n_steps=10):
+    def decaying(dim, gamma):
+        # a decay term -i gamma/2 on the last level, allowed on 2 levels only;
+        # a negative gamma is a gain
         h0, v = pair_hamiltonian(0.75, 5.0)
-        return lambda: qcore.magnus_end_state(h0[:2, :2], v[:2, :2], PulsedDrive().omega,
-                                              (-1.0, 1.0), psi0, n_steps)
+        h0 = h0[:dim, :dim].astype(complex)
+        h0[-1, -1] -= 0.5j * gamma
+        return lambda: qcore.magnus_propagate(h0, v[:dim, :dim], PulsedDrive().omega,
+                                              (-1.0, 1.0), basis_state(dim, 0), 10)
 
     bad_inputs = [
         (pure([1.0, 1.0]), "state norm off"),
@@ -201,8 +213,8 @@ def test_state_validation():
         (magnus([1.0, 1.0, 0.0]), "state norm off"),
         (magnus(basis_state(2, 0)), "initial state shape"),
         (magnus(basis_state(3, 0), n_steps=0), "at least one step"),
-        (end_state(basis_state(3, 0)), "not 2 x 2"),
-        (end_state(basis_state(2, 0), n_steps=0), "at least one step"),
+        (decaying(3, 0.1), "h0 not hermitian"),
+        (decaying(2, -0.1), "h0 has gain"),
     ]
     for call, message in bad_inputs:
         with pytest.raises(ValueError, match=message):
@@ -279,9 +291,6 @@ def test_work_budget_stops_long_solves(monkeypatch):
     monkeypatch.setattr(qcore, "MAX_MAGNUS_STEPS", 399)
     with pytest.raises(RuntimeError, match="work budget"):
         magnus_states(PulsedDrive(), *pair_hamiltonian(0.75, 5.0), 400)
-    with pytest.raises(RuntimeError, match="work budget"):
-        qcore.magnus_end_state(np.eye(2), np.eye(2), PulsedDrive().omega, (-1.0, 1.0),
-                               basis_state(2, 0), 400)
 
 
 @pytest.mark.parametrize("e_dd", [1.4446, 5.0])
@@ -313,24 +322,14 @@ def test_magnus_blocks_do_not_change_results(monkeypatch):
     drive = PulsedDrive()
     h0 = np.stack([pair_hamiltonian(drive.delta, e)[0] for e in (0.5, 1.4446, 5.0)])
     v = pair_hamiltonian(drive.delta, 0.0)[1]
-    whole = magnus_states(drive, h0, v, 400)[1]
+    # and the single dot with a decay term, on the 2-level closed form
+    single = pair_hamiltonian(drive.delta, 0.0)[0][:2, :2] - 0.05j * np.diag([0.0, 1.0])
+    inputs = [(h0, v), (single, v[:2, :2])]
+    whole = [magnus_states(drive, *args, 400)[1] for args in inputs]
     # two step matrices per block split the batch as well as the steps
     monkeypatch.setattr(qcore, "MAGNUS_BLOCK_STEPS", 2)
-    assert np.array_equal(magnus_states(drive, h0, v, 400)[1], whole)
-
-
-@pytest.mark.parametrize("block", [qcore.MAGNUS_BLOCK_STEPS, 7])
-def test_end_state_matches_magnus_propagate(monkeypatch, block):
-    # the 2 x 2 closed form and the tree product against eigh and the
-    # step-by-step product, on a Hermitian single dot; a block of 7 steps
-    # leaves odd lengths in the tree and a short last block
-    drive = PulsedDrive()
-    h0, v = pair_hamiltonian(drive.delta, 5.0)
-    h0, v = h0[:2, :2], v[:2, :2]
-    states = magnus_states(drive, h0, v, 401)[1]
-    monkeypatch.setattr(qcore, "MAGNUS_BLOCK_STEPS", block)
-    end = qcore.magnus_end_state(h0, v, drive.omega, drive.support(), basis_state(2, 0), 401)
-    assert np.max(np.abs(end - states[-1])) <= 1e-13
+    for args, states in zip(inputs, whole):
+        assert np.array_equal(magnus_states(drive, *args, 400)[1], states)
 
 
 def test_end_state_keeps_norm_far_detuned():
@@ -338,9 +337,32 @@ def test_end_state_keeps_norm_far_detuned():
     # cos^2 + sin^2 drifts from 1 by ~1e-12 per step
     drive = PulsedDrive(delta=1e5)
     h0, v = pair_hamiltonian(drive.delta, 5.0)
-    end = qcore.magnus_end_state(h0[:2, :2], v[:2, :2], drive.omega, drive.support(),
-                                 basis_state(2, 0), 400)
+    end = magnus_states(drive, h0[:2, :2], v[:2, :2], 400)[1][-1]
     assert abs(np.vdot(end, end).real - 1.0) <= 1e-12
+
+
+def test_expm_2x2_keeps_huge_hermitian_steps_unitary():
+    # the single dot's step exponents at tau = 1e154 ps, whose commutator
+    # term is ~1e304 rad, and random Hermitian stacks up to 1e300: s^2 must
+    # neither overflow nor take a rounding imaginary part past the
+    # |Im s| = 1 switch, either of which gave NaN steps (a warning fails
+    # the test)
+    rng = np.random.default_rng(3)
+    drive = PulsedDrive(tau_ps=1e154)
+    h0, v = pair_hamiltonian(drive.delta, 5.0)
+    _, exponents = qcore._magnus_exponents(h0[None, :2, :2].astype(complex),
+                                           v[:2, :2].astype(complex), drive.omega,
+                                           drive.support(), 400)
+    stacks = [exponents(slice(None))[:, 0]]
+    for size in (1e20, 1e160, 1e300):
+        k = np.zeros((64, 2, 2), dtype=complex)
+        k[:, [0, 1], [0, 1]] = rng.uniform(-size, size, size=(64, 2))
+        k[:, 0, 1] = size * (rng.uniform(-1, 1, 64) + 1j * rng.uniform(-1, 1, 64)) / 2
+        k[:, 1, 0] = k[:, 0, 1].conj()
+        stacks.append(k)
+    for k in stacks:
+        u = qcore._expm_2x2(k)
+        assert np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(2))) <= 1e-12
 
 
 def test_expm_2x2_with_large_decay_matches_scipy():
