@@ -174,7 +174,7 @@ def run_repeater(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
     if args.per_trial:
         written.append(_write_csv(
             outdir, "repeater_trials.csv", ["trial", "total_time_ms"],
-            [(i, f"{t:.6f}") for i, t in enumerate(result.trial_times_ms)]))
+            [(i, f"{t:.6f}") for i, t in enumerate(result.trial_times_ms.tolist())]))
     print(f"median time = {result.times_ms['p50_ms']:.2f} ms over "
           f"{result.n_links} links, final fidelity = {result.fidelity_final:.4f}")
     return written

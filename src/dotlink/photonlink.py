@@ -17,7 +17,8 @@ from .units import HBAR_MEV_PS
 
 PAIR_STATES = ("psi_minus", "psi_plus", "product")
 
-# sample_link_times draws one int64 per sample: 80 MB at the cap
+# sample_link_times draws one int64 per sample: 80 MB at the cap in one
+# call; simulate_chain calls it once per block, so there the cap bounds work
 MAX_LINK_SAMPLES = 10_000_000
 
 

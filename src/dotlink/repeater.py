@@ -20,6 +20,9 @@ import numpy as np
 from .photonlink import (MAX_LINK_SAMPLES, LinkBudget, link_attempt_stats,
                          sample_link_times, wavepacket_overlap_error)
 
+# simulate_chain draws and merges about this many link samples at a time
+BLOCK_SAMPLES = 2 ** 19
+
 
 @dataclass
 class WernerPair:
@@ -123,8 +126,10 @@ def simulate_chain(cfg: ChainConfig, n_trials: int | None = None, seed=0,
 
     All elementary links start attempting at t = 0; each level swaps as soon
     as both children are ready.  Werner weights are deterministic, so only
-    the times are sampled.  n_trials, when given, replaces cfg.n_trials;
-    link defaults to LinkBudget().
+    the times are sampled.  Trials are drawn and merged in blocks of about
+    BLOCK_SAMPLES link samples, from one stream in trial order, so the
+    working set is one block plus one total per trial.  n_trials, when
+    given, replaces cfg.n_trials; link defaults to LinkBudget().
     """
     if n_trials is not None:
         cfg = replace(cfg, n_trials=n_trials)
@@ -134,22 +139,33 @@ def simulate_chain(cfg: ChainConfig, n_trials: int | None = None, seed=0,
 
     stats = link_attempt_stats(link, t_rad_ps)
     delay_per_link = link.l0_km / link.c_fiber_km_ms
-    link_times = sample_link_times(link, t_rad_ps, n_trials * cfg.n_links, rng)
-    # one pair per level stands for every pair of its span: row i of its
-    # ready times is trial i, column j the j-th such pair along the chain
     w0 = cfg.initial_werner(link, t_rad_ps)
-    pair = WernerPair(w0, 0, 1, ready_ms=link_times.reshape(n_trials, cfg.n_links))
-    per_level = []
-    for level in range(int(math.log2(cfg.n_links)) + 1):
-        if level:
-            span = pair.right
-            pair = swap(WernerPair(pair.w, 0, span, pair.ready_ms[:, 0::2]),
-                        WernerPair(pair.w, span, 2 * span, pair.ready_ms[:, 1::2]),
-                        cfg.eps_gate, cfg.eps_meas, delay_per_link)
-        per_level.append({"level": level, "span_links": pair.right, "w": pair.w,
-                          "mean_ready_ms": float(np.mean(pair.ready_ms))})
+    levels = int(math.log2(cfg.n_links))
+    rows = max(2, BLOCK_SAMPLES // cfg.n_links)
+    # block edges; a remainder of one trial joins the block before it, since
+    # sample_link_times refuses a single sample
+    edges = [*range(0, n_trials - 1, rows), n_trials]
+    total = np.empty(n_trials)
+    ready_sums = [0.0] * (levels + 1)
+    for start, stop in zip(edges, edges[1:]):
+        link_times = sample_link_times(link, t_rad_ps, (stop - start) * cfg.n_links, rng)
+        # one pair per level stands for every pair of its span: row i of its
+        # ready times is trial i of the block, column j the j-th such pair
+        pair = WernerPair(w0, 0, 1, ready_ms=link_times.reshape(-1, cfg.n_links))
+        per_level = []
+        for level in range(levels + 1):
+            if level:
+                span = pair.right
+                pair = swap(WernerPair(pair.w, 0, span, pair.ready_ms[:, 0::2]),
+                            WernerPair(pair.w, span, 2 * span, pair.ready_ms[:, 1::2]),
+                            cfg.eps_gate, cfg.eps_meas, delay_per_link)
+            # the last block's entries hold the sums over every block
+            ready_sums[level] += float(np.sum(pair.ready_ms))
+            per_level.append({"level": level, "span_links": pair.right, "w": pair.w,
+                              "mean_ready_ms": ready_sums[level]
+                              / (n_trials * (cfg.n_links >> level))})
+        total[start:stop] = pair.ready_ms[:, 0]
 
-    total = pair.ready_ms[:, 0]
     q10, q50, q90 = (float(q) for q in np.quantile(total, [0.1, 0.5, 0.9]))
     times = {
         "mean_ms": float(np.mean(total)),
@@ -163,4 +179,4 @@ def simulate_chain(cfg: ChainConfig, n_trials: int | None = None, seed=0,
         w0=w0, w_final=pair.w, fidelity_final=pair.fidelity(),
         times_ms=times, per_level=per_level,
         analytic_mean_ms=analytic_mean_time(cfg, link, t_rad_ps),
-        trial_times_ms=total.copy() if keep_trials else None)
+        trial_times_ms=total if keep_trials else None)

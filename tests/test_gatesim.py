@@ -194,6 +194,17 @@ def test_fast_pulse_flagged_nonadiabatic():
     assert rep.end_excited_max > 1e-3
 
 
+def test_end_excited_sums_the_excited_levels():
+    # the end-excited population is the excited levels' own, not one minus
+    # the ground population, which would also hold the propagator's norm drift
+    for e_dd in (5.0, math.inf):
+        rep = simulate_conditional_gate(DRIVE, e_dd, lindblad_check=False)
+        ends = [np.sum(np.abs(t.states[-1, 1:]) ** 2) for t in rep.trajectories.values()]
+        assert rep.end_excited_max == max(ends)
+        ground = 1.0 - abs(rep.trajectories["double"].states[-1, 0]) ** 2
+        assert abs(rep.end_excited_max - max(ends[0], ground)) <= 1e-12
+
+
 def test_omega_sq_integral_closed_form():
     assert abs(DRIVE.omega_sq_integral()
                - 11.0 * math.sqrt(math.pi / 2.0)) <= 1e-12

@@ -2,9 +2,6 @@
 addressing error derived from it."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -178,7 +175,7 @@ def test_spectral_density_blocks_agree(monkeypatch):
     assert np.all(np.abs(blocked - one_block) <= 1e-13 * one_block)
 
 
-def test_spectral_density_working_set_bounded():
+def test_spectral_density_working_set_bounded(fresh_peak_mb):
     # a start order of 2048 doubles to a 4096-node rule for every delta;
     # evaluated in one block the temporaries alone would take ~300 MB
     code = (
@@ -187,16 +184,8 @@ def test_spectral_density_working_set_bounded():
         "from dotlink.dotmodel import GAAS\n"
         "phonon.START_ORDER = 2048\n"
         "model = phonon.model_from_dot(DotConfig(), GAAS)\n"
-        "phonon.spectral_density(model, np.linspace(0.5, 15.0, 2000))\n"
-        "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n")
-    src = os.path.dirname(os.path.dirname(phonon.__file__))
-    env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": "1",
-           "OPENBLAS_NUM_THREADS": "1"}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    # VmHWM is this process's own peak, in kB; ru_maxrss would also count the
-    # resident set it inherited from the spawning test process at exec
-    assert int(out) / 1024 < 200.0
+        "phonon.spectral_density(model, np.linspace(0.5, 15.0, 2000))\n")
+    assert fresh_peak_mb(code) < 200.0
 
 
 def test_spectral_density_quadrature_converged():

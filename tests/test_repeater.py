@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import geom
 
+from dotlink import repeater
 from dotlink.photonlink import (MAX_LINK_SAMPLES, LinkBudget, link_attempt_stats,
                                 sample_link_times)
 from dotlink.repeater import (
@@ -196,3 +197,37 @@ def test_per_level_bookkeeping():
     readies = [lv["mean_ready_ms"] for lv in res.per_level]
     assert all(b > a for a, b in zip(readies, readies[1:]))
     assert link_attempt_stats(LinkBudget(), 300.0)["p_success"] == res.p_success
+
+
+@pytest.mark.parametrize("n_links,n_trials,block", [(8, 301, 20), (4, 1000, 64), (1, 7, 3)])
+def test_blocked_chain_matches_one_block(monkeypatch, n_links, n_trials, block):
+    cfg = ChainConfig(n_links=n_links)
+    whole = simulate_chain(cfg, n_trials=n_trials, seed=3, keep_trials=True)
+    drawn = []
+
+    def counted(budget, t_rad_ps, n, rng):
+        drawn.append(n)
+        return sample_link_times(budget, t_rad_ps, n, rng)
+
+    monkeypatch.setattr(repeater, "BLOCK_SAMPLES", block)
+    monkeypatch.setattr(repeater, "sample_link_times", counted)
+    blocked = simulate_chain(cfg, n_trials=n_trials, seed=3, keep_trials=True)
+    # one stream drawn in trial order: the same totals, bit for bit
+    assert len(drawn) > 1 and sum(drawn) == n_trials * n_links
+    assert np.array_equal(blocked.trial_times_ms, whole.trial_times_ms)
+    assert blocked.times_ms == whole.times_ms
+    for a, b in zip(blocked.per_level, whole.per_level):
+        assert a["w"] == b["w"] and a["span_links"] == b["span_links"]
+        assert abs(a["mean_ready_ms"] - b["mean_ready_ms"]) <= 1e-15 * b["mean_ready_ms"]
+    if n_links == 1:
+        # 7 trials in blocks of 3 would leave one trial, a single sample,
+        # which sample_link_times refuses; it joins the block before it
+        assert drawn == [3, 4]
+
+
+def test_chain_working_set_bounded(fresh_peak_mb):
+    # 64 links x 1e5 trials drawn at once took ~135 MB; in blocks the chain
+    # keeps one block and the (n_trials,) totals
+    code = ("from dotlink.repeater import ChainConfig, simulate_chain\n"
+            "simulate_chain(ChainConfig(), n_trials=100_000, keep_trials=True)\n")
+    assert fresh_peak_mb(code) < 80.0
