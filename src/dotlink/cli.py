@@ -13,12 +13,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
 import math
 import os
 import sys
-import tempfile
 from datetime import datetime, timezone
 
 import numpy as np
@@ -36,32 +34,45 @@ from .photonlink import (bsa_coincidence, dephasing_error, link_attempt_stats,
 from .readout import simulate_readout
 from .repeater import simulate_chain
 
-def _atomic_write(path: str, text: str):
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+# large CSVs are formatted this many rows at a time: one chunk in memory, not the file
+CHUNK_ROWS = 1 << 16
+
+
+def _indexed_rows(values: np.ndarray, fmt: str):
+    """(index, fmt.format(value)) rows, formatted a chunk at a time."""
+    for start in range(0, len(values), CHUNK_ROWS):
+        chunk = values[start:start + CHUNK_ROWS].tolist()
+        yield from zip(range(start, start + len(chunk)), map(fmt.format, chunk))
+
+
+def _write_results(outdir: str, results: dict) -> None:
+    """Write each result, a .json payload or a .csv (header, rows), all or none.
+
+    Each streams into its own temporary in outdir, made as open() makes files,
+    so its mode follows the umask.  The temporaries are renamed into place, in
+    order, once every one is complete; on any exception they are deleted.
+    """
+    os.makedirs(outdir, exist_ok=True)
+    temps = []
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for name, result in results.items():
+            tmp = os.path.join(outdir, f".tmp-{os.urandom(6).hex()}-{name}")
+            with open(tmp, "x", newline="") as fh:
+                temps.append((tmp, name))
+                if name.endswith(".json"):
+                    fh.write(json.dumps(result, indent=2, sort_keys=True) + "\n")
+                else:
+                    header, rows = result
+                    writer = csv.writer(fh)
+                    writer.writerow(header)
+                    writer.writerows(rows)
+        for tmp, name in temps:
+            os.replace(tmp, os.path.join(outdir, name))
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
-
-
-def _write_json(outdir: str, name: str, payload: dict) -> str:
-    path = os.path.join(outdir, name)
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return name
-
-
-def _write_csv(outdir: str, name: str, header: list[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _atomic_write(os.path.join(outdir, name), buf.getvalue())
-    return name
 
 
 # per-step and per-shot arrays go to CSV files, never into a JSON report
@@ -74,25 +85,24 @@ def _report_fields(report) -> dict:
             if f.name not in _ARRAY_FIELDS}
 
 
-def run_gate(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
+def run_gate(cfg: ExperimentConfig, args) -> tuple[dict, str]:
     gamma = 1.0 / cfg.dot.t_rad_ps
     report = simulate_conditional_gate(cfg.drive, cfg.gate.e_dd_mev, gamma_per_ps=gamma)
-    payload = {**_report_fields(report), "drive": dataclasses.asdict(cfg.drive),
-               "raman_gate_error": raman_gate_error(cfg.raman)}
-    written = [_write_json(outdir, "gate_report.json", payload)]
+    results = {"gate_report.json": {
+        **_report_fields(report), "drive": dataclasses.asdict(cfg.drive),
+        "raman_gate_error": raman_gate_error(cfg.raman)}}
     if args.trajectories:
-        rows = [(label, f"{t:.6f}", f"{p:.9e}")
-                for label, traj in report.trajectories.items()
-                for t, p in zip(traj.times, excited_population(traj))]
-        written.append(_write_csv(outdir, "gate_trajectories.csv",
-                                  ["input", "time_ps", "excited_population"], rows))
-    print(f"phi_cond = {report.phi_cond_rad:.6f} rad, "
-          f"single-dot exposure = {report.exposure_single_ps:.4f} ps, "
-          f"eps_spont = {report.eps_spont:.4%}")
-    return written
+        results["gate_trajectories.csv"] = (
+            ["input", "time_ps", "excited_population"],
+            ((label, f"{t:.6f}", f"{p:.9e}")
+             for label, traj in report.trajectories.items()
+             for t, p in zip(traj.times, excited_population(traj))))
+    return results, (f"phi_cond = {report.phi_cond_rad:.6f} rad, "
+                     f"single-dot exposure = {report.exposure_single_ps:.4f} ps, "
+                     f"eps_spont = {report.eps_spont:.4%}")
 
 
-def run_phonon(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
+def run_phonon(cfg: ExperimentConfig, args) -> tuple[dict, str]:
     ps = cfg.phonon
     model = model_from_dot(cfg.dot, cfg.material)
     grid = np.arange(ps.delta_min_mev, ps.delta_max_mev + ps.delta_step_mev / 2,
@@ -101,7 +111,6 @@ def run_phonon(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
     deltas = np.append(grid, ps.e_s_mev)
     j = spectral_density(model, deltas)
     eps = error_from_density(cfg.drive, deltas, j)
-    # all computed before the first write, so a numerical failure writes nothing
     payload = {
         "material": cfg.material.name,
         "e_s_mev": ps.e_s_mev,
@@ -111,16 +120,14 @@ def run_phonon(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
         "error_budget": ps.error_budget,
         "min_separation_mev": min_separation(model, cfg.drive, ps.error_budget),
     }
-    rows = [(f"{d:.4f}", f"{jd:.9e}", f"{ed:.9e}") for d, jd, ed in zip(grid, j, eps)]
-    written = [_write_json(outdir, "phonon_report.json", payload),
-               _write_csv(outdir, "phonon_table.csv",
-                          ["delta_mev", "spectral_density_per_ps", "phonon_error"], rows)]
-    print(f"phonon error at {ps.e_s_mev} meV = {payload['error_at_e_s']:.4e}, "
-          f"min separation for {ps.error_budget} = {payload['min_separation_mev']:.2f} meV")
-    return written
+    rows = ((f"{d:.4f}", f"{jd:.9e}", f"{ed:.9e}") for d, jd, ed in zip(grid, j, eps))
+    table = (["delta_mev", "spectral_density_per_ps", "phonon_error"], rows)
+    return {"phonon_report.json": payload, "phonon_table.csv": table}, (
+        f"phonon error at {ps.e_s_mev} meV = {payload['error_at_e_s']:.4e}, "
+        f"min separation for {ps.error_budget} = {payload['min_separation_mev']:.2f} meV")
 
 
-def run_link(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
+def run_link(cfg: ExperimentConfig, args) -> tuple[dict, str]:
     budget = cfg.link
     t_rad = cfg.dot.t_rad_ps
     n = 100_000 if args.trials is None else args.trials
@@ -141,46 +148,39 @@ def run_link(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
         "coincidence_psi_plus": bsa_coincidence(
             "psi_plus", cfg.link.delta_e_uev, t_rad).coincidence,
     }
-    written = [_write_json(outdir, "link_report.json", payload)]
-    print(f"P_success = {payload['p_success']:.5f}, "
-          f"mean link time = {payload['mean_time_ms']:.3f} ms "
-          f"(MC {payload['mc_mean_ms']:.3f} ms)")
-    return written
+    return {"link_report.json": payload}, (
+        f"P_success = {payload['p_success']:.5f}, "
+        f"mean link time = {payload['mean_time_ms']:.3f} ms "
+        f"(MC {payload['mc_mean_ms']:.3f} ms)")
 
 
-def run_readout(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
+def run_readout(cfg: ExperimentConfig, args) -> tuple[dict, str]:
     rcfg = cfg.readout
     if args.trials is not None:
         rcfg = dataclasses.replace(rcfg, n_shots=args.trials)
     report = simulate_readout(rcfg, derive_rng(cfg.seed, "readout"))
-    payload = {**_report_fields(report), "n_shots": rcfg.n_shots,
-               "threshold": rcfg.threshold}
-    hist = _write_csv(outdir, "readout_histogram.csv",
-                      ["counts", "probability_bright"],
-                      [(k, f"{pb:.9e}") for k, pb in enumerate(report.histogram_bright)])
-    written = [_write_json(outdir, "readout_report.json", payload), hist]
-    print(f"eps_bright = {report.eps_bright:.4%} +- {report.eps_bright_se:.4%} "
-          f"(poisson limit {report.poisson_limit:.4%})")
-    return written
+    payload = {**_report_fields(report), "n_shots": rcfg.n_shots, "threshold": rcfg.threshold}
+    hist = (["counts", "probability_bright"], _indexed_rows(report.histogram_bright, "{:.9e}"))
+    return {"readout_report.json": payload, "readout_histogram.csv": hist}, (
+        f"eps_bright = {report.eps_bright:.4%} +- {report.eps_bright_se:.4%} "
+        f"(poisson limit {report.poisson_limit:.4%})")
 
 
-def run_repeater(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
+def run_repeater(cfg: ExperimentConfig, args) -> tuple[dict, str]:
     n_trials = cfg.chain.n_trials if args.trials is None else args.trials
     result = simulate_chain(cfg.chain, n_trials=n_trials,
                             seed=derive_rng(cfg.seed, "repeater"),
                             keep_trials=args.per_trial, link=cfg.link,
                             t_rad_ps=cfg.dot.t_rad_ps)
-    written = [_write_json(outdir, "repeater_report.json", _report_fields(result))]
+    results = {"repeater_report.json": _report_fields(result)}
     if args.per_trial:
-        written.append(_write_csv(
-            outdir, "repeater_trials.csv", ["trial", "total_time_ms"],
-            [(i, f"{t:.6f}") for i, t in enumerate(result.trial_times_ms.tolist())]))
-    print(f"median time = {result.times_ms['p50_ms']:.2f} ms over "
-          f"{result.n_links} links, final fidelity = {result.fidelity_final:.4f}")
-    return written
+        results["repeater_trials.csv"] = (["trial", "total_time_ms"],
+                                          _indexed_rows(result.trial_times_ms, "{:.6f}"))
+    return results, (f"median time = {result.times_ms['p50_ms']:.2f} ms over "
+                     f"{result.n_links} links, final fidelity = {result.fidelity_final:.4f}")
 
 
-def run_tune(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
+def run_tune(cfg: ExperimentConfig, args) -> tuple[dict, str]:
     e_plus, e_minus = photon_energies(cfg.dot)
     # hold each line to the same precision the link budget assumes for dE
     de_target = cfg.link.delta_e_uev
@@ -212,16 +212,15 @@ def run_tune(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
         },
         "plan": dataclasses.asdict(plan),
     }
-    written = [_write_json(outdir, "tune_report.json", payload)]
-    print(f"lines at {e_plus:.5f}/{e_minus:.5f} meV, dT_max = {dt_mk:.2f} mK, "
-          f"dB_max = {db_mt:.2f} mT, {plan.n_qubits} qubit(s) per node")
-    return written
+    return {"tune_report.json": payload}, (
+        f"lines at {e_plus:.5f}/{e_minus:.5f} meV, dT_max = {dt_mk:.2f} mK, "
+        f"dB_max = {db_mt:.2f} mT, {plan.n_qubits} qubit(s) per node")
 
 
 SWEEPABLE = ("phonon.e_s_mev", "gate.e_dd_mev", "link.delta_e_uev")
 
 
-def run_sweep(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
+def run_sweep(cfg: ExperimentConfig, args) -> tuple[dict, str]:
     if args.param not in SWEEPABLE:
         raise ValueError(f"sweep parameter must be one of {SWEEPABLE}")
     try:
@@ -237,7 +236,6 @@ def run_sweep(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
         raw[section][key] = v
         config_from_dict(raw)
 
-    rows = []
     if args.param == "phonon.e_s_mev":
         model = model_from_dot(cfg.dot, cfg.material)
         header = ["e_s_mev", "phonon_error"]
@@ -245,6 +243,7 @@ def run_sweep(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
                 for v, e in zip(values, phonon_error(model, cfg.drive, np.array(values)))]
     elif args.param == "gate.e_dd_mev":
         header = ["e_dd_mev", "phi_cond_rad", "adiabatic"]
+        rows = []
         for v in values:
             rep = simulate_conditional_gate(cfg.drive, v, lindblad_check=False)
             rows.append((f"{v:.6g}", f"{rep.phi_cond_rad:.9f}", int(rep.adiabatic)))
@@ -253,9 +252,7 @@ def run_sweep(cfg: ExperimentConfig, outdir: str, args) -> list[str]:
         rows = [(f"{v:.6g}",
                  f"{wavepacket_overlap_error(v, cfg.dot.t_rad_ps):.9e}")
                 for v in values]
-    name = _write_csv(outdir, "sweep.csv", header, rows)
-    print(f"swept {args.param} over {len(values)} value(s)")
-    return [name]
+    return {"sweep.csv": (header, rows)}, f"swept {args.param} over {len(values)} value(s)"
 
 
 RUNNERS = {
@@ -317,10 +314,18 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 
-    outdir = cfg.out_dir
     try:
-        os.makedirs(outdir, exist_ok=True)
-        results = RUNNERS[args.subcommand](cfg, outdir, args)
+        results, summary = RUNNERS[args.subcommand](cfg, args)
+        manifest = {
+            "tool_version": __version__,
+            "config_hash": cfg.config_hash(),
+            "seed": cfg.seed,
+            "subcommand": args.subcommand,
+            "started_utc": started,
+            "finished_utc": datetime.now(timezone.utc).isoformat(),
+            "results": list(results),
+        }
+        _write_results(cfg.out_dir, {**results, "run_manifest.json": manifest})
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
@@ -330,17 +335,7 @@ def main(argv=None) -> int:
     except (RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-
-    manifest = {
-        "tool_version": __version__,
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.seed,
-        "subcommand": args.subcommand,
-        "started_utc": started,
-        "finished_utc": datetime.now(timezone.utc).isoformat(),
-        "results": results,
-    }
-    _write_json(outdir, "run_manifest.json", manifest)
+    print(summary)
     return 0
 
 

@@ -374,8 +374,8 @@ def calibrate_phase(drive: PulsedDrive, target_rad: float,
         kept = 0
         while b - a > XTOL_MEV:
             c = (a * fb - b * fa) / (fb - fa)
-            # like the root finder it replaced, this takes the phase at
-            # points inside the bracket whether or not they are adiabatic
+            # false position needs a phase at every point inside the bracket,
+            # adiabatic or not; only an undefined phase stops it
             offset, _ = probe([c], adiabatic_only=False)
             fc = float(offset[0])
             if math.isnan(fc):

@@ -22,8 +22,8 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-9
-# work budget per RK45 evolution, about 100x the 8,583 RHS calls of the
-# default 4-level gate pair; extreme drives hit it instead of running for minutes
+# work budget per RK45 evolution: stiff or extreme Hamiltonians hit it
+# instead of running for minutes
 MAX_RHS_CALLS = 1_000_000
 # largest Magnus step count, 256x the 400 steps a default gate leg starts
 # from; extreme drives hit it instead of running for minutes

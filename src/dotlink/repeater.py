@@ -147,24 +147,24 @@ def simulate_chain(cfg: ChainConfig, n_trials: int | None = None, seed=0,
     edges = [*range(0, n_trials - 1, rows), n_trials]
     total = np.empty(n_trials)
     ready_sums = [0.0] * (levels + 1)
+    level_w = [w0] * (levels + 1)
     for start, stop in zip(edges, edges[1:]):
         link_times = sample_link_times(link, t_rad_ps, (stop - start) * cfg.n_links, rng)
         # one pair per level stands for every pair of its span: row i of its
         # ready times is trial i of the block, column j the j-th such pair
         pair = WernerPair(w0, 0, 1, ready_ms=link_times.reshape(-1, cfg.n_links))
-        per_level = []
         for level in range(levels + 1):
             if level:
                 span = pair.right
                 pair = swap(WernerPair(pair.w, 0, span, pair.ready_ms[:, 0::2]),
                             WernerPair(pair.w, span, 2 * span, pair.ready_ms[:, 1::2]),
                             cfg.eps_gate, cfg.eps_meas, delay_per_link)
-            # the last block's entries hold the sums over every block
+            level_w[level] = pair.w
             ready_sums[level] += float(np.sum(pair.ready_ms))
-            per_level.append({"level": level, "span_links": pair.right, "w": pair.w,
-                              "mean_ready_ms": ready_sums[level]
-                              / (n_trials * (cfg.n_links >> level))})
         total[start:stop] = pair.ready_ms[:, 0]
+    per_level = [{"level": level, "span_links": 1 << level, "w": w,
+                  "mean_ready_ms": ready_sum / (n_trials * (cfg.n_links >> level))}
+                 for level, (w, ready_sum) in enumerate(zip(level_w, ready_sums))]
 
     q10, q50, q90 = (float(q) for q in np.quantile(total, [0.1, 0.5, 0.9]))
     times = {

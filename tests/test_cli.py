@@ -15,6 +15,7 @@ import pytest
 import dotlink
 from dotlink import PulsedDrive, cli, phonon, simulate_conditional_gate
 from dotlink.cli import main
+from dotlink.gatesim import excited_population
 from dotlink.phonon import spectral_density
 
 
@@ -138,15 +139,71 @@ def test_phonon_run_and_unattainable_budget(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_failed_phonon_run_writes_nothing(tmp_path, capsys):
+def test_failed_phonon_run_writes_nothing(tmp_path, capsys, monkeypatch):
+    def snapshot():
+        """Names and hashes of every file, temporaries included."""
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+
     assert run(tmp_path, "phonon") == 0
-    before = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert run(tmp_path, "gate", "--trajectories") == 0
+    before = snapshot()
+    assert not any(name.startswith(".tmp-") for name in before)
     # a pulse this strong puts every separation over the budget, after the
     # table is computed
     assert run(tmp_path, "phonon", "--set", "drive.omega0=1e150") == 2
     assert "budget 0.0014 unattainable" in capsys.readouterr().err
-    after = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
-    assert after == before
+    assert snapshot() == before
+    # bad input found by the runner, not by the config loader
+    assert run(tmp_path, "sweep", "--param", "phonon.e_s_mev", "--values", "7.5,nan") == 1
+    assert snapshot() == before
+    # a step this wide fails the gate's propagation
+    assert run(tmp_path, "gate", "--set", "drive.tau_ps=1e300") == 2
+    assert "numerical failure: Magnus step width" in capsys.readouterr().err
+    assert snapshot() == before
+    # a failure while the trajectory rows stream: the report's temporary,
+    # which differs from the file it would replace, is complete and the first
+    # trajectory's rows are written when it raises
+    calls = []
+
+    def fails_second_call(traj):
+        calls.append(traj)
+        if len(calls) == 2:
+            raise RuntimeError("populations unavailable")
+        return excited_population(traj)
+
+    monkeypatch.setattr(cli, "excited_population", fails_second_call)
+    assert run(tmp_path, "gate", "--trajectories", "--set", "gate.e_dd_mev=4") == 2
+    assert "numerical failure: populations unavailable" in capsys.readouterr().err
+    assert len(calls) == 2
+    assert snapshot() == before
+
+
+def test_result_file_modes_follow_umask(tmp_path):
+    # 0o022 gives 0o644 from open(); a private temporary's 0o600 would differ
+    old = os.umask(0o022)
+    try:
+        assert run(tmp_path, "repeater", "--trials", "200", "--per-trial") == 0
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+    finally:
+        os.umask(old)
+    modes = {p.name: p.stat().st_mode for p in tmp_path.iterdir()}
+    assert set(modes) == {"repeater_report.json", "repeater_trials.csv",
+                          "run_manifest.json", "plain.txt"}
+    assert set(modes.values()) == {modes["plain.txt"]}
+
+
+def test_per_trial_csv_is_streamed(tmp_path, fresh_peak_mb):
+    # the 1e5-row CSV, ~1.7 MB on disk, must not be held in memory: at most
+    # one chunk of formatted rows is, so the peak stays that of the chain
+    def peak(*flags):
+        argv = ["repeater", "--trials", "100000", "--out", str(tmp_path), *flags]
+        return fresh_peak_mb("import contextlib, io\n"
+                             "from dotlink.cli import main\n"
+                             "with contextlib.redirect_stdout(io.StringIO()):\n"
+                             f"    assert main({argv!r}) == 0\n")
+
+    assert peak("--per-trial") - peak() <= 5.0
 
 
 def test_phonon_run_evaluates_j_once_per_detuning(tmp_path, monkeypatch):
@@ -175,7 +232,7 @@ def test_phonon_extreme_separations_give_zero(tmp_path):
     assert read_json(tmp_path, "phonon_report.json")["error_at_e_s"] == 0.0
 
 
-def test_repeater_run(tmp_path):
+def test_repeater_run(tmp_path, monkeypatch):
     assert run(tmp_path, "repeater", "--trials", "400", "--per-trial",
                "--set", "chain.n_links=8", seed=3) == 0
     rep = read_json(tmp_path, "repeater_report.json")
@@ -183,8 +240,14 @@ def test_repeater_run(tmp_path):
     assert rep["n_trials"] == 400
     rows = read_rows(tmp_path, "repeater_trials.csv")
     assert len(rows) == 1 + 400
+    assert [r[0] for r in rows[1:]] == [str(i) for i in range(400)]
     times = [float(r[1]) for r in rows[1:]]
     assert min(times) >= rep["period_ms"]
+    # rows formatted in chunks, the last one short, read as one formatting
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 7)
+    assert run(tmp_path / "chunked", "repeater", "--trials", "400", "--per-trial",
+               "--set", "chain.n_links=8", seed=3) == 0
+    assert read_rows(tmp_path / "chunked", "repeater_trials.csv") == rows
 
 
 def test_sweep_monotone(tmp_path):
@@ -219,23 +282,30 @@ def test_sweep_bad_arguments(tmp_path, capsys):
 
 
 def test_reruns_byte_identical(tmp_path):
+    # every result file of every subcommand, JSON and CSV alike
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
+    runs = [["gate", "--trajectories"], ["phonon"], ["link", "--trials", "20000"],
+            ["tune"], ["sweep", "--param", "phonon.e_s_mev", "--values", "5,7.5"],
+            ["readout", "--trials", "20000"],
+            ["repeater", "--trials", "200", "--per-trial", "--set", "chain.n_links=8"]]
+    manifests = {}
     for out in (out_a, out_b):
-        assert main(["readout", "--trials", "20000", "--seed", "77",
-                     "--out", str(out)]) == 0
-        assert main(["repeater", "--trials", "200", "--seed", "77",
-                     "--set", "chain.n_links=8", "--out", str(out)]) == 0
-    for name in ("readout_report.json", "readout_histogram.csv",
-                 "repeater_report.json"):
-        a = (out_a / name).read_bytes()
-        b = (out_b / name).read_bytes()
-        assert a == b, name
+        for argv in runs:
+            assert main(argv + ["--seed", "77", "--out", str(out)]) == 0
+            manifests[out, argv[0]] = read_json(out, "run_manifest.json")
+    names = sorted(p.name for p in out_a.iterdir())
+    assert names == sorted(p.name for p in out_b.iterdir())
+    assert len(names) == 11 + 1   # and the manifest
+    for name in names:
+        if name != "run_manifest.json":
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
     # the manifest alone carries timestamps
-    ma = read_json(out_a, "run_manifest.json")
-    mb = read_json(out_b, "run_manifest.json")
-    assert ma["config_hash"] == mb["config_hash"]
-    assert ma["seed"] == mb["seed"] == 77
+    for argv in runs:
+        ma, mb = manifests[out_a, argv[0]], manifests[out_b, argv[0]]
+        assert ma["config_hash"] == mb["config_hash"]
+        assert ma["results"] == mb["results"]
+        assert ma["seed"] == mb["seed"] == 77
 
 
 # every input ends in exit 1 (bad input) or 2 (numerical failure) with a
