@@ -14,7 +14,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -23,14 +22,10 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, config_from_dict, derive_rng, load_config
-from .dotmodel import (addressing_plan, control_precision, dipole_dipole_energy,
-                       photon_energies, varshni_shift, varshni_slope)
+from .dotmodel import tune_report
 from .gatesim import excited_population, raman_gate_error, simulate_conditional_gate
-from .phonon import (error_from_density, min_separation, model_from_dot, phonon_error,
-                     spectral_density)
-from .photonlink import (bsa_coincidence, dephasing_error, link_attempt_stats,
-                         overlap_error_small_mismatch, photon_efficiency,
-                         sample_link_times, wavepacket_overlap_error)
+from .phonon import model_from_dot, phonon_error, phonon_report
+from .photonlink import link_report, wavepacket_overlap_error
 from .readout import simulate_readout
 from .repeater import simulate_chain
 
@@ -66,6 +61,11 @@ def _write_results(outdir: str, results: dict) -> None:
                     writer = csv.writer(fh)
                     writer.writerow(header)
                     writer.writerows(rows)
+        # a directory in a target's place would fail its rename after the
+        # earlier ones: refuse it before any
+        for _, name in temps:
+            if os.path.isdir(os.path.join(outdir, name)):
+                raise IsADirectoryError(f"{os.path.join(outdir, name)} is a directory")
         for tmp, name in temps:
             os.replace(tmp, os.path.join(outdir, name))
     except BaseException:
@@ -104,50 +104,20 @@ def run_gate(cfg: ExperimentConfig, args) -> tuple[dict, str]:
 
 def run_phonon(cfg: ExperimentConfig, args) -> tuple[dict, str]:
     ps = cfg.phonon
-    model = model_from_dot(cfg.dot, cfg.material)
     grid = np.arange(ps.delta_min_mev, ps.delta_max_mev + ps.delta_step_mev / 2,
                      ps.delta_step_mev)
-    # the grid and e_s in one call: J once per detuning, the error derived from it
-    deltas = np.append(grid, ps.e_s_mev)
-    j = spectral_density(model, deltas)
-    eps = error_from_density(cfg.drive, deltas, j)
-    payload = {
-        "material": cfg.material.name,
-        "e_s_mev": ps.e_s_mev,
-        "j_at_e_s_per_ps": float(j[-1]),
-        "error_at_e_s": float(eps[-1]),
-        "pulse_sq_integral_rad2_ps": cfg.drive.omega_sq_integral(),
-        "error_budget": ps.error_budget,
-        "min_separation_mev": min_separation(model, cfg.drive, ps.error_budget),
-    }
-    rows = ((f"{d:.4f}", f"{jd:.9e}", f"{ed:.9e}") for d, jd, ed in zip(grid, j, eps))
-    table = (["delta_mev", "spectral_density_per_ps", "phonon_error"], rows)
-    return {"phonon_report.json": payload, "phonon_table.csv": table}, (
+    payload = phonon_report(model_from_dot(cfg.dot, cfg.material), cfg.drive,
+                            ps.e_s_mev, ps.error_budget, grid)
+    table = payload.pop("table")
+    rows = ((f"{d:.4f}", f"{jd:.9e}", f"{ed:.9e}") for d, jd, ed in zip(*table.values()))
+    return {"phonon_report.json": payload, "phonon_table.csv": (list(table), rows)}, (
         f"phonon error at {ps.e_s_mev} meV = {payload['error_at_e_s']:.4e}, "
         f"min separation for {ps.error_budget} = {payload['min_separation_mev']:.2f} meV")
 
 
 def run_link(cfg: ExperimentConfig, args) -> tuple[dict, str]:
-    budget = cfg.link
-    t_rad = cfg.dot.t_rad_ps
     n = 100_000 if args.trials is None else args.trials
-    rng = derive_rng(cfg.seed, "link")
-    times = sample_link_times(budget, t_rad, n, rng)
-    payload = {
-        **link_attempt_stats(budget, t_rad),
-        "eta_per_photon": photon_efficiency(budget, t_rad),
-        "mc_mean_ms": float(np.mean(times)),
-        "mc_se_ms": float(np.std(times, ddof=1) / math.sqrt(n)),
-        "n_trials": n,
-        "overlap_error": wavepacket_overlap_error(cfg.link.delta_e_uev, t_rad),
-        "overlap_error_leading_order": overlap_error_small_mismatch(
-            cfg.link.delta_e_uev, t_rad),
-        "dephasing_error": dephasing_error(t_rad, cfg.link.t_deph_ps),
-        "coincidence_psi_minus": bsa_coincidence(
-            "psi_minus", cfg.link.delta_e_uev, t_rad).coincidence,
-        "coincidence_psi_plus": bsa_coincidence(
-            "psi_plus", cfg.link.delta_e_uev, t_rad).coincidence,
-    }
+    payload = link_report(cfg.link, cfg.dot.t_rad_ps, n, derive_rng(cfg.seed, "link"))
     return {"link_report.json": payload}, (
         f"P_success = {payload['p_success']:.5f}, "
         f"mean link time = {payload['mean_time_ms']:.3f} ms "
@@ -181,40 +151,14 @@ def run_repeater(cfg: ExperimentConfig, args) -> tuple[dict, str]:
 
 
 def run_tune(cfg: ExperimentConfig, args) -> tuple[dict, str]:
-    e_plus, e_minus = photon_energies(cfg.dot)
     # hold each line to the same precision the link budget assumes for dE
-    de_target = cfg.link.delta_e_uev
-    dt_mk, db_mt = control_precision(cfg.dot, cfg.material, de_target)
-    plan = addressing_plan(cfg.phonon.e_w_mev, cfg.phonon.e_s_mev)
-    payload = {
-        "photon_energies": {
-            "sigma_plus_mev": e_plus,
-            "sigma_minus_mev": e_minus,
-            "splitting_mev": e_plus - e_minus,
-            "degenerate": e_plus == e_minus,
-        },
-        "control": {
-            "de_target_uev": de_target,
-            "dt_max_mk": dt_mk,
-            "db_max_mt": db_mt,
-            "t_op_assumed_k": cfg.dot.t_op_k,
-        },
-        "varshni": {
-            "shift_mev": varshni_shift(cfg.dot.t_op_k, cfg.material),
-            "slope_mev_per_k": varshni_slope(cfg.dot.t_op_k, cfg.material),
-        },
-        "dipole_dipole": {
-            "r_nm": cfg.gate.r_dd_nm,
-            "point_mev": dipole_dipole_energy(cfg.dot.d_eh_nm, cfg.gate.r_dd_nm,
-                                              cfg.material.eps_r, "point-dipole"),
-            "four_charge_mev": dipole_dipole_energy(cfg.dot.d_eh_nm, cfg.gate.r_dd_nm,
-                                                    cfg.material.eps_r, "four-charge"),
-        },
-        "plan": dataclasses.asdict(plan),
-    }
+    payload = tune_report(cfg.dot, cfg.material, cfg.link.delta_e_uev, cfg.gate.r_dd_nm,
+                          cfg.phonon.e_w_mev, cfg.phonon.e_s_mev)
+    lines, control = payload["photon_energies"], payload["control"]
     return {"tune_report.json": payload}, (
-        f"lines at {e_plus:.5f}/{e_minus:.5f} meV, dT_max = {dt_mk:.2f} mK, "
-        f"dB_max = {db_mt:.2f} mT, {plan.n_qubits} qubit(s) per node")
+        f"lines at {lines['sigma_plus_mev']:.5f}/{lines['sigma_minus_mev']:.5f} meV, "
+        f"dT_max = {control['dt_max_mk']:.2f} mK, dB_max = {control['db_max_mt']:.2f} mT, "
+        f"{payload['plan']['n_qubits']} qubit(s) per node")
 
 
 SWEEPABLE = ("phonon.e_s_mev", "gate.e_dd_mev", "link.delta_e_uev")
@@ -324,6 +268,8 @@ def main(argv=None) -> int:
             "started_utc": started,
             "finished_utc": datetime.now(timezone.utc).isoformat(),
             "results": list(results),
+            # run inputs outside the config that shape the results
+            **{k: getattr(args, k) for k in ("trials", "param", "values") if hasattr(args, k)},
         }
         _write_results(cfg.out_dir, {**results, "run_manifest.json": manifest})
     except ValueError as exc:

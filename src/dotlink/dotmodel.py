@@ -8,7 +8,7 @@ coupling between stacked dots, and the spectral slot plan for a node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .units import COULOMB_MEV_NM, MU_B_MEV_PER_T
 
@@ -47,6 +47,13 @@ ZNSE = MaterialConstants(
 
 MATERIAL_PRESETS = {"GaAs": GAAS, "ZnSe": ZNSE}
 
+# an addressing plan holds at most this many slots
+MAX_PLAN_SLOTS = 10_000
+# a dot's thickness is at least MIN_SIZE_NM and its diameter and |d_eh| at most
+# MAX_SIZE_NM, far outside any real dot; past these the phonon form factors'
+# exponents k^2 sigma^2 and k d_eh overflow, k reaching ~39 / (thickness / 4)
+MIN_SIZE_NM, MAX_SIZE_NM = 1e-3, 1e6
+
 
 @dataclass
 class DotConfig:
@@ -75,6 +82,10 @@ class DotConfig:
         if not self.diameter_nm > self.thickness_nm:
             # flat-dot assumption keeps the heavy hole as the ground hole state
             raise ValueError("diameter must exceed thickness")
+        if (self.thickness_nm < MIN_SIZE_NM
+                or max(self.diameter_nm, abs(self.d_eh_nm)) > MAX_SIZE_NM):
+            raise ValueError(f"thickness_nm must be at least {MIN_SIZE_NM:g} nm, and "
+                             f"diameter_nm and |d_eh_nm| at most {MAX_SIZE_NM:g} nm")
 
 
 @dataclass
@@ -159,5 +170,43 @@ def addressing_plan(e_w_mev: float = 15.0, e_s_mev: float = 7.5) -> NodePlan:
     """Assign trion-energy slots spaced by e_s inside the window [0, e_w)."""
     if e_w_mev <= 0 or e_s_mev <= 0:
         raise ValueError("window and separation must be positive")
-    n = 1 + int((e_w_mev - 1e-6) / e_s_mev)
+    # the float ratio is compared before int(), so an infinite one is refused too
+    ratio = (e_w_mev - 1e-6) / e_s_mev
+    if not ratio < MAX_PLAN_SLOTS:
+        raise ValueError(f"addressing plan exceeds {MAX_PLAN_SLOTS} slots")
+    n = 1 + int(ratio)
     return NodePlan(e_w_mev, e_s_mev, tuple(i * e_s_mev for i in range(n)))
+
+
+def tune_report(dot: DotConfig, material: MaterialConstants, de_target_uev: float,
+                r_dd_nm: float, e_w_mev: float, e_s_mev: float) -> dict:
+    """Photon lines, the control precision that holds them within de_target,
+    Varshni tuning, dipole-dipole coupling at r_dd, and the addressing plan."""
+    e_plus, e_minus = photon_energies(dot)
+    dt_mk, db_mt = control_precision(dot, material, de_target_uev)
+    return {
+        "photon_energies": {
+            "sigma_plus_mev": e_plus,
+            "sigma_minus_mev": e_minus,
+            "splitting_mev": e_plus - e_minus,
+            "degenerate": e_plus == e_minus,
+        },
+        "control": {
+            "de_target_uev": de_target_uev,
+            "dt_max_mk": dt_mk,
+            "db_max_mt": db_mt,
+            "t_op_assumed_k": dot.t_op_k,
+        },
+        "varshni": {
+            "shift_mev": varshni_shift(dot.t_op_k, material),
+            "slope_mev_per_k": varshni_slope(dot.t_op_k, material),
+        },
+        "dipole_dipole": {
+            "r_nm": r_dd_nm,
+            "point_mev": dipole_dipole_energy(dot.d_eh_nm, r_dd_nm, material.eps_r,
+                                              "point-dipole"),
+            "four_charge_mev": dipole_dipole_energy(dot.d_eh_nm, r_dd_nm, material.eps_r,
+                                                    "four-charge"),
+        },
+        "plan": asdict(addressing_plan(e_w_mev, e_s_mev)),
+    }

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import (MAX_PHASE_STEP, Trajectory, basis_state, depleted, magnus_propagate,
-                    norm_drift, phase_steps)
+from .qcore import (MAX_PHASE_STEP, Trajectory, depleted, magnus_propagate, norm_drift,
+                    phase_steps)
 from .units import HBAR_MEV_PS
 
 # pulse support: clip where the envelope falls to 1e-6 of its peak
@@ -179,11 +179,9 @@ def _evolve_ground(drive: PulsedDrive, h0: np.ndarray, v: np.ndarray, tol: float
     there takes tens of thousands of steps.  Past qcore.MAX_MAGNUS_STEPS
     the propagator raises RuntimeError.
     """
-    psi0 = basis_state(v.shape[0], 0)
     n_steps, previous = start_steps, None
     while True:
-        times, states = magnus_propagate(h0, v, drive.omega, drive.support(),
-                                         psi0, n_steps)
+        times, states = magnus_propagate(h0, v, drive.omega, drive.support(), n_steps)
         amps = states[..., 0]
         steps = phase_steps(amps)
         usable = ~depleted(amps)
@@ -218,10 +216,9 @@ def _spont_error(drive: PulsedDrive, gamma_per_ps: float, tol: float) -> float:
     """
     h0, v = pulse_hamiltonian(drive.delta)
     h0 = h0 - 0.5j * gamma_per_ps * np.diag([0.0, 1.0])
-    psi0 = basis_state(2, 0)
     n_steps, previous = START_STEPS, None
     while True:
-        psi = magnus_propagate(h0, v, drive.omega, drive.support(), psi0, n_steps)[1][-1]
+        psi = magnus_propagate(h0, v, drive.omega, drive.support(), n_steps)[1][-1]
         lost = 1.0 - float(np.vdot(psi, psi).real)
         if (previous is not None and abs(lost - previous) / 15 <= tol
                 and lost >= -LOSS_ROUNDING):

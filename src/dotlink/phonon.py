@@ -248,6 +248,26 @@ def phonon_error(model: PhononModel, drive: PulsedDrive, e_s_mev):
     return error_from_density(drive, e_s_mev, spectral_density(model, e_s_mev))
 
 
+def phonon_report(model: PhononModel, drive: PulsedDrive, e_s_mev: float,
+                  error_budget: float, grid) -> dict:
+    """J and the phonon error at e_s, min_separation for error_budget, and under
+    "table" J and the error on grid; J is evaluated once per detuning."""
+    deltas = np.append(grid, e_s_mev)
+    j = spectral_density(model, deltas)
+    eps = error_from_density(drive, deltas, j)
+    return {
+        "material": model.material.name,
+        "e_s_mev": e_s_mev,
+        "j_at_e_s_per_ps": float(j[-1]),
+        "error_at_e_s": float(eps[-1]),
+        "pulse_sq_integral_rad2_ps": drive.omega_sq_integral(),
+        "error_budget": error_budget,
+        "min_separation_mev": min_separation(model, drive, error_budget),
+        "table": {"delta_mev": grid, "spectral_density_per_ps": j[:-1],
+                  "phonon_error": eps[:-1]},
+    }
+
+
 def min_separation(model: PhononModel, drive: PulsedDrive,
                    eps_budget: float, search_mev: tuple[float, float] = (0.5, 30.0)) -> float:
     """Smallest spectral separation keeping the phonon error within budget.

@@ -148,3 +148,22 @@ def sample_link_times(budget: LinkBudget, t_rad_ps: float, n: int,
     stats = link_attempt_stats(budget, t_rad_ps)
     attempts = rng.geometric(stats["p_success"], size=n)
     return attempts * stats["period_ms"]
+
+
+def link_report(budget: LinkBudget, t_rad_ps: float, n: int,
+                rng: np.random.Generator) -> dict:
+    """One link's attempt statistics, n-sample Monte Carlo mean and pair errors."""
+    times = sample_link_times(budget, t_rad_ps, n, rng)
+    de = budget.delta_e_uev
+    return {
+        **link_attempt_stats(budget, t_rad_ps),
+        "eta_per_photon": photon_efficiency(budget, t_rad_ps),
+        "mc_mean_ms": float(np.mean(times)),
+        "mc_se_ms": float(np.std(times, ddof=1) / math.sqrt(n)),
+        "n_trials": n,
+        "overlap_error": wavepacket_overlap_error(de, t_rad_ps),
+        "overlap_error_leading_order": overlap_error_small_mismatch(de, t_rad_ps),
+        "dephasing_error": dephasing_error(t_rad_ps, budget.t_deph_ps),
+        "coincidence_psi_minus": bsa_coincidence("psi_minus", de, t_rad_ps).coincidence,
+        "coincidence_psi_plus": bsa_coincidence("psi_plus", de, t_rad_ps).coincidence,
+    }

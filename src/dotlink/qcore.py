@@ -131,12 +131,6 @@ def _solve(rhs, support: tuple[float, float], y0: np.ndarray, tol: float):
     return sol
 
 
-def _check_norm(psi: np.ndarray):
-    err = abs(float(np.sum(np.abs(psi) ** 2)) - 1.0)
-    if err > NORM_TOL:
-        raise ValueError(f"state norm off by {err:.3e} (tol {NORM_TOL:.0e})")
-
-
 def evolve_schrodinger(ham: TimeDependentHamiltonian, psi0: np.ndarray,
                        tol: float = 1e-9) -> Trajectory:
     """Integrate i d|psi>/dt = H(t)|psi> over the Hamiltonian's support.
@@ -145,7 +139,9 @@ def evolve_schrodinger(ham: TimeDependentHamiltonian, psi0: np.ndarray,
     worst norm deviation recorded in norm_drift.
     """
     psi0 = _initial_state(psi0, (ham.dim,), tol)
-    _check_norm(psi0)
+    err = abs(float(np.sum(np.abs(psi0) ** 2)) - 1.0)
+    if err > NORM_TOL:
+        raise ValueError(f"state norm off by {err:.3e} (tol {NORM_TOL:.0e})")
     ham.check_hermitian()
 
     def rhs(t, y):
@@ -174,8 +170,8 @@ def _magnus_exponents(stack: np.ndarray, v: np.ndarray, omega: Callable,
     Gauss-Legendre nodes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
     (2009)); the opposite sign of the commutator term is only 2nd order.
     [H1, H2] = (omega2 - omega1) [h0, v], so the commutator is formed once.
-    Returns the n_steps + 1 grid times and exponents(steps, rows), the
-    (len(steps), len(rows), d, d) exponents of a slice of steps and of h0s.
+    Returns the n_steps + 1 grid times and exponents(steps), the
+    (len(steps), B, d, d) exponents of a slice of steps.
     """
     if n_steps < 1:
         raise ValueError(f"need at least one step, got {n_steps}")
@@ -196,9 +192,8 @@ def _magnus_exponents(stack: np.ndarray, v: np.ndarray, omega: Callable,
     mean_w = (0.5 * dt * (w1 + w2))[:, None, None, None]
     comm_w = (1j * math.sqrt(3.0) / 12.0 * dt ** 2 * (w2 - w1))[:, None, None, None]
 
-    def exponents(steps: slice, rows: slice = slice(None)) -> np.ndarray:
-        return (dt * stack[None, rows] + mean_w[steps] * v
-                + comm_w[steps] * comm[None, rows])
+    def exponents(steps: slice) -> np.ndarray:
+        return dt * stack + mean_w[steps] * v + comm_w[steps] * comm
 
     return times, exponents
 
@@ -218,12 +213,12 @@ def _expm_tridiagonal(k: np.ndarray) -> np.ndarray:
 
 
 def magnus_propagate(h0: np.ndarray, v: np.ndarray, omega: Callable,
-                     support: tuple[float, float], psi0: np.ndarray,
+                     support: tuple[float, float],
                      n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """States under H(t) = h0 + omega(t)*v on n_steps equal steps of the support.
 
     h0 is one real diagonal (d, d) Hamiltonian or a (B, d, d) stack of them,
-    each propagated from psi0; v is a Hermitian tridiagonal (d, d), and omega
+    each propagated from level 0; v is a Hermitian tridiagonal (d, d), and omega
     maps an array of times to drive amplitudes.  On 2 levels the diagonal of
     h0 may also carry a decay term -i gamma/2, so the norm is not kept; a
     gain (positive imaginary part) is refused.  Each step is the 4th-order
@@ -248,25 +243,17 @@ def magnus_propagate(h0: np.ndarray, v: np.ndarray, omega: Callable,
         raise ValueError("h0 has gain: a positive imaginary part on its diagonal")
     if np.any(np.triu(v, 2)):
         raise ValueError("v not tridiagonal")
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (dim,):
-        raise ValueError(f"initial state shape {psi0.shape} != ({dim},)")
-    _check_norm(psi0)
     stack = h0.reshape(-1, dim, dim)
     times, exponents = _magnus_exponents(stack, v, omega, support, n_steps)
     expm = _expm_2x2 if dim == 2 else _expm_tridiagonal
 
-    n_batch = len(stack)
-    states = np.empty((n_steps + 1, n_batch, dim, 1), dtype=complex)
-    states[0] = psi0[:, None]
-    per_batch = min(n_batch, MAGNUS_BLOCK_STEPS)
-    per_block = max(1, MAGNUS_BLOCK_STEPS // per_batch)
-    for b in range(0, n_batch, per_batch):
-        rows = slice(b, b + per_batch)
-        for s in range(0, n_steps, per_block):
-            u = expm(exponents(slice(s, s + per_block), rows))
-            for j, u_j in enumerate(u, start=s):
-                np.matmul(u_j, states[j, rows], out=states[j + 1, rows])
+    states = np.zeros((n_steps + 1, len(stack), dim, 1), dtype=complex)
+    states[0, :, 0] = 1.0
+    per_block = max(1, MAGNUS_BLOCK_STEPS // len(stack))
+    for s in range(0, n_steps, per_block):
+        u = expm(exponents(slice(s, s + per_block)))
+        for j, u_j in enumerate(u, start=s):
+            np.matmul(u_j, states[j], out=states[j + 1])
     states = np.moveaxis(states[..., 0], 0, -2)
     return times, states.reshape(h0.shape[:-2] + (n_steps + 1, dim))
 

@@ -114,8 +114,7 @@ def analytic_mean_time(cfg: ChainConfig, link: LinkBudget, t_rad_ps: float) -> f
     """
     stats = link_attempt_stats(link, t_rad_ps)
     levels = int(math.log2(cfg.n_links))
-    delay_per_link = link.l0_km / link.c_fiber_km_ms
-    delays = sum(2 ** k * delay_per_link for k in range(1, levels + 1))
+    delays = sum(2 ** k * stats["period_ms"] for k in range(1, levels + 1))
     return stats["mean_time_ms"] * 1.5 ** levels + delays
 
 
@@ -138,7 +137,6 @@ def simulate_chain(cfg: ChainConfig, n_trials: int | None = None, seed=0,
     rng = np.random.default_rng(seed)
 
     stats = link_attempt_stats(link, t_rad_ps)
-    delay_per_link = link.l0_km / link.c_fiber_km_ms
     w0 = cfg.initial_werner(link, t_rad_ps)
     levels = int(math.log2(cfg.n_links))
     rows = max(2, BLOCK_SAMPLES // cfg.n_links)
@@ -158,7 +156,7 @@ def simulate_chain(cfg: ChainConfig, n_trials: int | None = None, seed=0,
                 span = pair.right
                 pair = swap(WernerPair(pair.w, 0, span, pair.ready_ms[:, 0::2]),
                             WernerPair(pair.w, span, 2 * span, pair.ready_ms[:, 1::2]),
-                            cfg.eps_gate, cfg.eps_meas, delay_per_link)
+                            cfg.eps_gate, cfg.eps_meas, stats["period_ms"])
             level_w[level] = pair.w
             ready_sums[level] += float(np.sum(pair.ready_ms))
         total[start:stop] = pair.ready_ms[:, 0]

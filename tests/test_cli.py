@@ -178,6 +178,39 @@ def test_failed_phonon_run_writes_nothing(tmp_path, capsys, monkeypatch):
     assert snapshot() == before
 
 
+def test_directory_in_a_target_place_replaces_nothing(tmp_path, capsys):
+    # the report would be renamed before the per-trial CSV fails on the
+    # directory in its place; every target is checked before any rename
+    def snapshot():
+        return {p.name: p.is_dir() or hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in tmp_path.iterdir()}
+
+    assert run(tmp_path, "repeater", "--trials", "200") == 0
+    (tmp_path / "repeater_trials.csv").mkdir()
+    before = snapshot()
+    assert run(tmp_path, "repeater", "--trials", "300", "--per-trial") == 1
+    assert capsys.readouterr().err.startswith("output error")
+    assert snapshot() == before
+    assert not any(name.startswith(".tmp-") for name in before)
+
+
+def test_manifest_records_inputs_outside_the_config(tmp_path):
+    # two trial counts share a config hash but not their results
+    manifests = []
+    for trials in ("1000", "2000"):
+        assert run(tmp_path, "readout", "--trials", trials) == 0
+        manifests.append(read_json(tmp_path, "run_manifest.json"))
+    assert manifests[0]["config_hash"] == manifests[1]["config_hash"]
+    assert [m["trials"] for m in manifests] == [1000, 2000]
+    assert run(tmp_path, "link", "--trials", "100") == 0
+    assert read_json(tmp_path, "run_manifest.json")["trials"] == 100
+    assert run(tmp_path, "readout") == 0
+    assert read_json(tmp_path, "run_manifest.json")["trials"] is None
+    assert run(tmp_path, "sweep", "--param", "link.delta_e_uev", "--values", "0,0.1") == 0
+    manifest = read_json(tmp_path, "run_manifest.json")
+    assert (manifest["param"], manifest["values"]) == ("link.delta_e_uev", "0,0.1")
+
+
 def test_result_file_modes_follow_umask(tmp_path):
     # 0o022 gives 0o644 from open(); a private temporary's 0o600 would differ
     old = os.umask(0o022)
@@ -213,9 +246,8 @@ def test_phonon_run_evaluates_j_once_per_detuning(tmp_path, monkeypatch):
         sizes.append(np.size(delta_mev))
         return spectral_density(model, delta_mev)
 
-    monkeypatch.setattr(cli, "spectral_density", counted)
     monkeypatch.setattr(phonon, "spectral_density", counted)
-    monkeypatch.setattr(cli, "min_separation", lambda *args: 7.37)
+    monkeypatch.setattr(phonon, "min_separation", lambda *args: 7.37)
     assert run(tmp_path, "phonon") == 0
     assert sizes == [59 + 1]   # the grid and e_s
 
@@ -362,6 +394,14 @@ BAD_INPUTS = [
     (["gate", "--set", "dot.t_rad_ps=1e-300"], 1, "validation error: eps_spont = "),
     # a step this wide overflows the square in the Magnus commutator term
     (["gate", "--set", "drive.tau_ps=1e300"], 2, "numerical failure: Magnus step width"),
+    # plans of ~1e301 slots, refused before any slot is built
+    (["tune", "--set", "phonon.e_s_mev=1e-300"], 1, "validation error: addressing plan exceeds"),
+    (["tune", "--set", "phonon.e_w_mev=1e300"], 1, "validation error: addressing plan exceeds"),
+    # dot sizes that overflowed the phonon envelope exponents with a warning
+    (["phonon", "--set", "dot.diameter_nm=1e308"], 1, "configuration error: dot: thickness_nm"),
+    (["phonon", "--set", "dot.d_eh_nm=1e308"], 1, "configuration error: dot: thickness_nm"),
+    (["phonon", "--set", "dot.thickness_nm=1e-300", "--set", "phonon.e_s_mev=1e300"], 1,
+     "configuration error: dot: thickness_nm"),
 ]
 
 
@@ -371,6 +411,16 @@ def test_bad_input_exit_codes(tmp_path, capsys, argv, code, prefix):
     assert main(argv + ["--out", str(tmp_path)]) == code
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1
+
+
+def test_phonon_at_dot_size_bounds(tmp_path, capsys):
+    # at the bounds every envelope exponent stays finite: the runs end
+    # without a warning, which the suite raises as an error
+    bounds = ["--set", "dot.thickness_nm=1e-3", "--set", "phonon.e_s_mev=1e300"]
+    assert run(tmp_path, "phonon", *bounds, "--set", "dot.diameter_nm=1e6",
+               "--set", "dot.d_eh_nm=-1e6") == 0
+    assert run(tmp_path, "phonon", *bounds) == 2
+    assert "budget 0.0014 unattainable" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("delta", ["1e3", "1e5"])

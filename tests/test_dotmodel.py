@@ -10,11 +10,13 @@ from dotlink.dotmodel import (
     ZNSE,
     DotConfig,
     MATERIAL_PRESETS,
+    MAX_PLAN_SLOTS,
     NodePlan,
     addressing_plan,
     control_precision,
     dipole_dipole_energy,
     photon_energies,
+    tune_report,
     varshni_shift,
     varshni_slope,
 )
@@ -129,6 +131,20 @@ def test_addressing_plan_counts():
         addressing_plan(15.0, 0.0)
 
 
+def test_addressing_plan_slot_cap():
+    assert addressing_plan(15.0, 1.5e-3).n_qubits == MAX_PLAN_SLOTS
+    # refused before any slot is built; the last ratio is infinite
+    for e_w, e_s in ((15.0, 1e-3), (15.0, 1e-300), (1e300, 7.5), (1e300, 1e-10)):
+        with pytest.raises(ValueError, match="addressing plan exceeds"):
+            addressing_plan(e_w, e_s)
+
+
+def test_tune_report_sections():
+    rep = tune_report(DotConfig(), GAAS, 0.2, 10.0, 15.0, 7.5)
+    assert list(rep) == ["photon_energies", "control", "varshni", "dipole_dipole", "plan"]
+    assert rep["plan"]["n_qubits"] == 2
+
+
 def test_node_plan_invariants():
     plan = NodePlan(e_w_mev=15.0, e_s_mev=5.0, slots_mev=(0.0, 5.0, 10.0))
     assert plan.n_qubits == 3
@@ -152,6 +168,10 @@ def test_material_presets():
 def test_dot_config_validation():
     with pytest.raises(ValueError):
         DotConfig(diameter_nm=3.0, thickness_nm=4.0)
+    for sizes in ({"diameter_nm": 1.1e6}, {"d_eh_nm": -1.1e6}, {"thickness_nm": 9e-4}):
+        with pytest.raises(ValueError, match="thickness_nm must be at least"):
+            DotConfig(**sizes)
+    DotConfig(diameter_nm=1e6, thickness_nm=1e-3, d_eh_nm=-1e6)
     with pytest.raises(ValueError):
         DotConfig(e_t_mev=-1.0)
     with pytest.raises(ValueError):

@@ -308,9 +308,9 @@ def test_calibration_work_and_pins(monkeypatch):
     work, calls = [], []
     propagate, pair_gate = gatesim.magnus_propagate, gatesim._pair_gate
 
-    def counted(h0, v, omega, support, psi0, n_steps):
+    def counted(h0, v, omega, support, n_steps):
         work.append(n_steps * (len(h0) if np.ndim(h0) == 3 else 1))
-        return propagate(h0, v, omega, support, psi0, n_steps)
+        return propagate(h0, v, omega, support, n_steps)
 
     def logged(drive, single, e_dd, tol, *args):
         calls.append((len(e_dd), tol))

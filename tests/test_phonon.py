@@ -18,6 +18,7 @@ from dotlink.phonon import (
     min_separation,
     model_from_dot,
     phonon_error,
+    phonon_report,
     spectral_density,
 )
 from oracles import (form_factor, gauss_legendre_mpmath, spectral_density_bessel,
@@ -220,6 +221,18 @@ def test_phonon_error_scales_with_pulse_area():
 def test_phonon_error_negligible_far_out():
     # Gaussian form factors cut the spectral density off exponentially
     assert phonon_error(MODEL, DRIVE, 30.0) < 1e-6 * phonon_error(MODEL, DRIVE, 7.5)
+
+
+def test_phonon_report_keys_and_error():
+    grid = np.arange(0.5, 15.1, 0.25)
+    rep = phonon_report(MODEL, DRIVE, 7.5, 0.0014, grid)
+    assert list(rep) == ["material", "e_s_mev", "j_at_e_s_per_ps", "error_at_e_s",
+                         "pulse_sq_integral_rad2_ps", "error_budget", "min_separation_mev",
+                         "table"]
+    assert list(rep["table"]) == ["delta_mev", "spectral_density_per_ps", "phonon_error"]
+    assert all(len(column) == len(grid) for column in rep["table"].values())
+    error = phonon_error(MODEL, DRIVE, 7.5)
+    assert abs(rep["error_at_e_s"] - error) <= 1e-15 * error
 
 
 def test_min_separation_roundtrip():

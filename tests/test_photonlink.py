@@ -11,6 +11,7 @@ from dotlink.photonlink import (
     bsa_coincidence,
     dephasing_error,
     link_attempt_stats,
+    link_report,
     overlap_error_small_mismatch,
     photon_efficiency,
     sample_link_times,
@@ -107,6 +108,15 @@ def test_link_attempt_stats_reference():
     assert eta1["mean_time_ms"] == 2.0 * eta1["period_ms"]
     with pytest.raises(ValueError):
         link_attempt_stats(LinkBudget(eta_override=0.0), 300.0)
+
+
+def test_link_report_keys_and_mean_time():
+    rep = link_report(LinkBudget(), 300.0, 1000, np.random.default_rng(1))
+    assert list(rep) == ["p_success", "period_ms", "mean_time_ms", "eta_per_photon",
+                         "mc_mean_ms", "mc_se_ms", "n_trials", "overlap_error",
+                         "overlap_error_leading_order", "dephasing_error",
+                         "coincidence_psi_minus", "coincidence_psi_plus"]
+    assert rep["mean_time_ms"] == link_attempt_stats(LinkBudget(), 300.0)["mean_time_ms"]
 
 
 def test_sample_link_times_mean():
