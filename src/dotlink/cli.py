@@ -5,7 +5,11 @@ defaults apply), runs one module, and writes JSON/CSV results plus a run
 manifest into the output directory.  Result files depend only on config and
 seed; timestamps live in the manifest alone, so reruns are byte-identical.
 
-Exit codes: 0 success, 1 usage or validation error, 2 numerical failure.
+Exit codes: 0 success, 1 usage or validation error, 2 numerical failure,
+which includes a result that is not a finite number.
+
+Each runner imports its own library calls, so a run loads only the modules
+it uses: `tune` loads no numpy, and no run loads scipy.
 """
 
 from __future__ import annotations
@@ -14,26 +18,19 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
 from .config import ExperimentConfig, config_from_dict, derive_rng, load_config
-from .dotmodel import tune_report
-from .gatesim import excited_population, raman_gate_error, simulate_conditional_gate
-from .phonon import model_from_dot, phonon_error, phonon_report
-from .photonlink import link_report, wavepacket_overlap_error
-from .readout import simulate_readout
-from .repeater import simulate_chain
 
 # large CSVs are formatted this many rows at a time: one chunk in memory, not the file
 CHUNK_ROWS = 1 << 16
 
 
-def _indexed_rows(values: np.ndarray, fmt: str):
+def _indexed_rows(values, fmt: str):
     """(index, fmt.format(value)) rows, formatted a chunk at a time."""
     for start in range(0, len(values), CHUNK_ROWS):
         chunk = values[start:start + CHUNK_ROWS].tolist()
@@ -55,7 +52,11 @@ def _write_results(outdir: str, results: dict) -> None:
             with open(tmp, "x", newline="") as fh:
                 temps.append((tmp, name))
                 if name.endswith(".json"):
-                    fh.write(json.dumps(result, indent=2, sort_keys=True) + "\n")
+                    try:
+                        text = json.dumps(result, indent=2, sort_keys=True, allow_nan=False)
+                    except ValueError:
+                        raise ArithmeticError(f"{name} holds a non-finite number") from None
+                    fh.write(text + "\n")
                 else:
                     header, rows = result
                     writer = csv.writer(fh)
@@ -86,11 +87,16 @@ def _report_fields(report) -> dict:
 
 
 def run_gate(cfg: ExperimentConfig, args) -> tuple[dict, str]:
+    from .gatesim import excited_population, raman_gate_error, simulate_conditional_gate
     gamma = 1.0 / cfg.dot.t_rad_ps
     report = simulate_conditional_gate(cfg.drive, cfg.gate.e_dd_mev, gamma_per_ps=gamma)
+    e_dd = report.e_dd_mev
     results = {"gate_report.json": {
         **_report_fields(report), "drive": dataclasses.asdict(cfg.drive),
-        "raman_gate_error": raman_gate_error(cfg.raman)}}
+        "raman_gate_error": raman_gate_error(cfg.raman),
+        # the perfect blockade's infinite shift, as the string "Infinity" or
+        # "-Infinity", which stays strict JSON
+        "e_dd_mev": json.dumps(e_dd) if math.isinf(e_dd) else e_dd}}
     if args.trajectories:
         results["gate_trajectories.csv"] = (
             ["input", "time_ps", "excited_population"],
@@ -103,6 +109,9 @@ def run_gate(cfg: ExperimentConfig, args) -> tuple[dict, str]:
 
 
 def run_phonon(cfg: ExperimentConfig, args) -> tuple[dict, str]:
+    import numpy as np
+
+    from .phonon import model_from_dot, phonon_report
     ps = cfg.phonon
     grid = np.arange(ps.delta_min_mev, ps.delta_max_mev + ps.delta_step_mev / 2,
                      ps.delta_step_mev)
@@ -116,6 +125,7 @@ def run_phonon(cfg: ExperimentConfig, args) -> tuple[dict, str]:
 
 
 def run_link(cfg: ExperimentConfig, args) -> tuple[dict, str]:
+    from .photonlink import link_report
     n = 100_000 if args.trials is None else args.trials
     payload = link_report(cfg.link, cfg.dot.t_rad_ps, n, derive_rng(cfg.seed, "link"))
     return {"link_report.json": payload}, (
@@ -125,6 +135,7 @@ def run_link(cfg: ExperimentConfig, args) -> tuple[dict, str]:
 
 
 def run_readout(cfg: ExperimentConfig, args) -> tuple[dict, str]:
+    from .readout import simulate_readout
     rcfg = cfg.readout
     if args.trials is not None:
         rcfg = dataclasses.replace(rcfg, n_shots=args.trials)
@@ -137,6 +148,7 @@ def run_readout(cfg: ExperimentConfig, args) -> tuple[dict, str]:
 
 
 def run_repeater(cfg: ExperimentConfig, args) -> tuple[dict, str]:
+    from .repeater import simulate_chain
     n_trials = cfg.chain.n_trials if args.trials is None else args.trials
     result = simulate_chain(cfg.chain, n_trials=n_trials,
                             seed=derive_rng(cfg.seed, "repeater"),
@@ -151,6 +163,7 @@ def run_repeater(cfg: ExperimentConfig, args) -> tuple[dict, str]:
 
 
 def run_tune(cfg: ExperimentConfig, args) -> tuple[dict, str]:
+    from .dotmodel import tune_report
     # hold each line to the same precision the link budget assumes for dE
     payload = tune_report(cfg.dot, cfg.material, cfg.link.delta_e_uev, cfg.gate.r_dd_nm,
                           cfg.phonon.e_w_mev, cfg.phonon.e_s_mev)
@@ -181,17 +194,22 @@ def run_sweep(cfg: ExperimentConfig, args) -> tuple[dict, str]:
         config_from_dict(raw)
 
     if args.param == "phonon.e_s_mev":
+        import numpy as np
+
+        from .phonon import model_from_dot, phonon_error
         model = model_from_dot(cfg.dot, cfg.material)
         header = ["e_s_mev", "phonon_error"]
         rows = [(f"{v:.6g}", f"{e:.9e}")
                 for v, e in zip(values, phonon_error(model, cfg.drive, np.array(values)))]
     elif args.param == "gate.e_dd_mev":
+        from .gatesim import simulate_conditional_gate
         header = ["e_dd_mev", "phi_cond_rad", "adiabatic"]
         rows = []
         for v in values:
             rep = simulate_conditional_gate(cfg.drive, v, lindblad_check=False)
             rows.append((f"{v:.6g}", f"{rep.phi_cond_rad:.9f}", int(rep.adiabatic)))
     else:
+        from .photonlink import wavepacket_overlap_error
         header = ["delta_e_uev", "overlap_error"]
         rows = [(f"{v:.6g}",
                  f"{wavepacket_overlap_error(v, cfg.dot.t_rad_ps):.9e}")
@@ -270,6 +288,9 @@ def main(argv=None) -> int:
             "results": list(results),
             # run inputs outside the config that shape the results
             **{k: getattr(args, k) for k in ("trials", "param", "values") if hasattr(args, k)},
+            # what the process has loaded; under python -m this module is __main__
+            "modules": sorted({__spec__.name, *(m for m in sys.modules if m in ("numpy", "scipy")
+                                                or m.startswith("dotlink."))}),
         }
         _write_results(cfg.out_dir, {**results, "run_manifest.json": manifest})
     except ValueError as exc:

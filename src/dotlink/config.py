@@ -1,12 +1,22 @@
 """Configuration loading, validation, hashing, and deterministic seeding.
 
-One JSON file holds every knob, grouped into sections.  Each section is the
-dataclass that consumes it, so the field annotations are the schema: the
-loader checks every value's JSON type against its field's annotation, and
-the dataclass's own __post_init__ checks its range.  Unknown keys are
-rejected so typos fail loudly.  Dotted command-line overrides
-(section.key=value) are applied to the raw mapping before any validation
-runs.
+One JSON file holds every knob, grouped into sections.  Each section is a
+dataclass whose field annotations are the schema: the loader checks every
+value's JSON type against its field's annotation, and the dataclass's own
+__post_init__ checks its range.  Unknown keys are rejected so typos fail
+loudly.  Dotted command-line overrides (section.key=value) are applied to
+the raw mapping before any validation runs.
+
+The sections live here, except `dot` and `material`, which come from the
+numpy-free dotmodel, so loading a config imports no numpy and no numeric
+module; each numeric module re-exports the sections it consumes.  numpy is
+imported by derive_rng and PulsedDrive.omega, photonlink by
+ChainConfig.initial_werner, only when called.  Since `import dotlink` is
+lazy and each CLI runner imports its own module, `dotlink tune` loads only
+cli, config, dotmodel and units; every other subcommand adds numpy and its
+numeric modules (gate: gatesim, qcore; phonon: phonon; link: photonlink;
+readout: readout; repeater: repeater, photonlink), and a sweep those of
+its parameter's subcommand.
 """
 
 from __future__ import annotations
@@ -19,16 +29,148 @@ import sys
 import typing
 from dataclasses import MISSING, dataclass, field, fields
 
-import numpy as np
-
 from .dotmodel import MATERIAL_PRESETS, DotConfig, MaterialConstants
-from .gatesim import PulsedDrive, RamanConfig
-from .photonlink import LinkBudget
-from .readout import ReadoutConfig
-from .repeater import ChainConfig
 
 # the phonon table evaluates J once per grid point
 MAX_GRID_POINTS = 10_000
+# sample_link_times draws one int64 per sample: 80 MB at the cap in one
+# call; simulate_chain calls it once per block, so there the cap bounds work
+MAX_LINK_SAMPLES = 10_000_000
+# simulate_readout draws a few int64 arrays of n_shots: ~80 MB each at the cap
+MAX_SHOTS = 10_000_000
+# histograms have n_cycles + 1 bins; poisson_limit_error loops to threshold
+MAX_CYCLES = 1_000_000
+# pulse support: clip where the envelope falls to 1e-6 of its peak
+_SUPPORT_SIGMAS = math.sqrt(math.log(1e6))
+
+
+@dataclass
+class PulsedDrive:
+    """Gaussian pulse omega0*exp(-t^2/tau^2) at detuning delta, in rad/ps."""
+
+    omega0: float = 1.0
+    tau_ps: float = 11.0
+    delta: float = 0.75
+
+    def __post_init__(self):
+        if self.omega0 < 0:
+            raise ValueError("omega0 must be nonnegative")
+        if self.tau_ps <= 0:
+            raise ValueError("tau_ps must be positive")
+        try:
+            area = self.omega_sq_integral()
+        except OverflowError:
+            area = math.inf
+        if not math.isfinite(area):
+            raise ValueError(f"omega0 = {self.omega0} and tau_ps = {self.tau_ps} give a pulse "
+                             f"area omega0^2 * tau_ps * sqrt(pi/2) that is not a finite float")
+
+    def omega(self, t_ps):
+        import numpy as np
+        return self.omega0 * np.exp(-(t_ps / self.tau_ps) ** 2)
+
+    def support(self) -> tuple[float, float]:
+        half = _SUPPORT_SIGMAS * self.tau_ps
+        return (-half, half)
+
+    def omega_sq_integral(self) -> float:
+        """Analytic integral of omega^2 over all time, rad^2/ps."""
+        return self.omega0 ** 2 * self.tau_ps * math.sqrt(math.pi / 2.0)
+
+
+@dataclass
+class RamanConfig:
+    gamma_trion_per_s: float = 3e10
+    delta_raman_mev: float = 30.0
+
+    def __post_init__(self):
+        if self.gamma_trion_per_s < 0:
+            raise ValueError("decoherence rate must be nonnegative")
+        if self.delta_raman_mev <= 0:
+            raise ValueError("raman detuning must be positive")
+
+
+@dataclass
+class LinkBudget:
+    """Per-photon efficiency factors, link geometry, and emitter quality.
+
+    eta_override, when set, replaces the whole chain with one combined
+    collection and detection efficiency.  delta_e_uev is the spectral
+    mismatch between the two emitters and t_deph_ps their dephasing time.
+    """
+
+    eta_wg: float = 0.95
+    t_switch_ps: float = 100.0
+    eta_det: float = 1.0
+    alpha_db_km: float = 0.0
+    l0_km: float = 20.0
+    c_fiber_km_ms: float = 200.0
+    eta_override: float | None = 0.25
+    delta_e_uev: float = 0.2
+    t_deph_ps: float = 30000.0
+
+    def __post_init__(self):
+        for name in ("eta_wg", "eta_det"):
+            v = getattr(self, name)
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
+        if self.eta_override is not None and not 0.0 <= self.eta_override <= 1.0:
+            raise ValueError("eta_override must be in [0, 1]")
+        if self.l0_km <= 0 or self.c_fiber_km_ms <= 0:
+            raise ValueError("l0_km and c_fiber_km_ms must be positive")
+        if self.t_switch_ps < 0 or self.alpha_db_km < 0:
+            raise ValueError("t_switch_ps and alpha_db_km must be nonnegative")
+        if self.delta_e_uev < 0 or self.t_deph_ps <= 0:
+            raise ValueError("delta_e_uev must be >= 0 and t_deph_ps > 0")
+
+
+@dataclass
+class ReadoutConfig:
+    p_forbidden: float = 1e-3
+    eta_det: float = 0.1
+    n_cycles: int = 200
+    threshold: int = 10
+    n_shots: int = 100_000
+
+    def __post_init__(self):
+        if not 0.0 <= self.p_forbidden <= 1.0:
+            raise ValueError("p_forbidden must be in [0, 1]")
+        if not 0.0 <= self.eta_det <= 1.0:
+            raise ValueError("eta_det must be in [0, 1]")
+        # n_shots >= 2: the shelving-cycle standard error uses ddof=1
+        for name, low, cap in (("n_cycles", 1, MAX_CYCLES), ("threshold", 1, MAX_CYCLES),
+                               ("n_shots", 2, MAX_SHOTS)):
+            if not low <= getattr(self, name) <= cap:
+                raise ValueError(f"{name} must be in [{low}, {cap}]")
+
+
+@dataclass
+class ChainConfig:
+    n_links: int = 64
+    eps_gate: float = 0.005
+    eps_meas: float = 0.005
+    w0: float | None = None      # derived from the heralded-pair error if None
+    n_trials: int = 2000
+
+    def __post_init__(self):
+        if self.n_links < 1 or self.n_links & (self.n_links - 1):
+            raise ValueError("n_links must be a power of two")
+        for name in ("eps_gate", "eps_meas"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if self.w0 is not None and not 0.0 <= self.w0 <= 1.0:
+            raise ValueError("w0 must be in [0, 1]")
+        # the reported standard error (ddof=1) needs two trials
+        if self.n_trials < 2:
+            raise ValueError("n_trials must be at least 2")
+        if self.n_trials * self.n_links > MAX_LINK_SAMPLES:
+            raise ValueError(f"n_trials x n_links must be at most {MAX_LINK_SAMPLES}")
+
+    def initial_werner(self, link: LinkBudget, t_rad_ps: float) -> float:
+        if self.w0 is not None:
+            return self.w0
+        from .photonlink import wavepacket_overlap_error
+        return 1.0 - wavepacket_overlap_error(link.delta_e_uev, t_rad_ps)
 
 
 @dataclass
@@ -199,6 +341,7 @@ def load_config(path=None, overrides=(), seed=None, out_dir=None) -> ExperimentC
 
 def derive_rng(seed: int, module: str, index: int = 0) -> np.random.Generator:
     """Independent stream for (seed, module, index), stable across platforms."""
+    import numpy as np
     tag = int.from_bytes(hashlib.sha256(module.encode()).digest()[:8], "big")
     ss = np.random.SeedSequence([int(seed) & (2 ** 63 - 1), tag, int(index)])
     return np.random.default_rng(ss)

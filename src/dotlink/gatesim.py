@@ -23,57 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import PulsedDrive, RamanConfig
 from .qcore import (MAX_PHASE_STEP, Trajectory, depleted, magnus_propagate, norm_drift,
                     phase_steps)
 from .units import HBAR_MEV_PS
-
-# pulse support: clip where the envelope falls to 1e-6 of its peak
-_SUPPORT_SIGMAS = math.sqrt(math.log(1e6))
-
-
-@dataclass
-class PulsedDrive:
-    """Gaussian pulse omega0*exp(-t^2/tau^2) at detuning delta, in rad/ps."""
-
-    omega0: float = 1.0
-    tau_ps: float = 11.0
-    delta: float = 0.75
-
-    def __post_init__(self):
-        if self.omega0 < 0:
-            raise ValueError("omega0 must be nonnegative")
-        if self.tau_ps <= 0:
-            raise ValueError("tau_ps must be positive")
-        try:
-            area = self.omega_sq_integral()
-        except OverflowError:
-            area = math.inf
-        if not math.isfinite(area):
-            raise ValueError(f"omega0 = {self.omega0} and tau_ps = {self.tau_ps} give a pulse "
-                             f"area omega0^2 * tau_ps * sqrt(pi/2) that is not a finite float")
-
-    def omega(self, t_ps):
-        return self.omega0 * np.exp(-(t_ps / self.tau_ps) ** 2)
-
-    def support(self) -> tuple[float, float]:
-        half = _SUPPORT_SIGMAS * self.tau_ps
-        return (-half, half)
-
-    def omega_sq_integral(self) -> float:
-        """Analytic integral of omega^2 over all time, rad^2/ps."""
-        return self.omega0 ** 2 * self.tau_ps * math.sqrt(math.pi / 2.0)
-
-
-@dataclass
-class RamanConfig:
-    gamma_trion_per_s: float = 3e10
-    delta_raman_mev: float = 30.0
-
-    def __post_init__(self):
-        if self.gamma_trion_per_s < 0:
-            raise ValueError("decoherence rate must be nonnegative")
-        if self.delta_raman_mev <= 0:
-            raise ValueError("raman detuning must be positive")
 
 
 @dataclass

@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import PulsedDrive
 from .dotmodel import DotConfig, MaterialConstants
-from .gatesim import PulsedDrive
 from .units import EV_SI, HBAR_MEV_PS, HBAR_SI
 
 # polar nodes: START_ORDER, doubled per detuning up to 2 * MAX_QUADRATURE_ORDER

@@ -13,47 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MAX_LINK_SAMPLES, LinkBudget
 from .units import HBAR_MEV_PS
 
 PAIR_STATES = ("psi_minus", "psi_plus", "product")
-
-# sample_link_times draws one int64 per sample: 80 MB at the cap in one
-# call; simulate_chain calls it once per block, so there the cap bounds work
-MAX_LINK_SAMPLES = 10_000_000
-
-
-@dataclass
-class LinkBudget:
-    """Per-photon efficiency factors, link geometry, and emitter quality.
-
-    eta_override, when set, replaces the whole chain with one combined
-    collection and detection efficiency.  delta_e_uev is the spectral
-    mismatch between the two emitters and t_deph_ps their dephasing time.
-    """
-
-    eta_wg: float = 0.95
-    t_switch_ps: float = 100.0
-    eta_det: float = 1.0
-    alpha_db_km: float = 0.0
-    l0_km: float = 20.0
-    c_fiber_km_ms: float = 200.0
-    eta_override: float | None = 0.25
-    delta_e_uev: float = 0.2
-    t_deph_ps: float = 30000.0
-
-    def __post_init__(self):
-        for name in ("eta_wg", "eta_det"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if self.eta_override is not None and not 0.0 <= self.eta_override <= 1.0:
-            raise ValueError("eta_override must be in [0, 1]")
-        if self.l0_km <= 0 or self.c_fiber_km_ms <= 0:
-            raise ValueError("l0_km and c_fiber_km_ms must be positive")
-        if self.t_switch_ps < 0 or self.alpha_db_km < 0:
-            raise ValueError("t_switch_ps and alpha_db_km must be nonnegative")
-        if self.delta_e_uev < 0 or self.t_deph_ps <= 0:
-            raise ValueError("delta_e_uev must be >= 0 and t_deph_ps > 0")
 
 
 @dataclass
@@ -137,11 +100,13 @@ def dephasing_error(t_rad_ps: float, t_deph_ps: float) -> float:
     return t_rad_ps / (t_rad_ps + t_deph_ps)
 
 
+@np.errstate(over="raise", invalid="raise")
 def sample_link_times(budget: LinkBudget, t_rad_ps: float, n: int,
                       rng: np.random.Generator) -> np.ndarray:
     """Draw n elementary-link completion times (ms), geometric attempts.
 
     n >= 2, so the sample standard error (ddof=1) callers report is finite.
+    A time that overflows raises FloatingPointError instead of becoming inf.
     """
     if not 2 <= n <= MAX_LINK_SAMPLES:
         raise ValueError(f"sample count must be in [2, {MAX_LINK_SAMPLES}], got {n}")
@@ -150,9 +115,13 @@ def sample_link_times(budget: LinkBudget, t_rad_ps: float, n: int,
     return attempts * stats["period_ms"]
 
 
+@np.errstate(over="raise", invalid="raise")
 def link_report(budget: LinkBudget, t_rad_ps: float, n: int,
                 rng: np.random.Generator) -> dict:
-    """One link's attempt statistics, n-sample Monte Carlo mean and pair errors."""
+    """One link's attempt statistics, n-sample Monte Carlo mean and pair errors.
+
+    A mean or spread that overflows raises FloatingPointError.
+    """
     times = sample_link_times(budget, t_rad_ps, n, rng)
     de = budget.delta_e_uev
     return {

@@ -14,30 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# simulate_readout draws a few int64 arrays of n_shots: ~80 MB each at the cap
-MAX_SHOTS = 10_000_000
-# histograms have n_cycles + 1 bins; poisson_limit_error loops to threshold
-MAX_CYCLES = 1_000_000
-
-
-@dataclass
-class ReadoutConfig:
-    p_forbidden: float = 1e-3
-    eta_det: float = 0.1
-    n_cycles: int = 200
-    threshold: int = 10
-    n_shots: int = 100_000
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_forbidden <= 1.0:
-            raise ValueError("p_forbidden must be in [0, 1]")
-        if not 0.0 <= self.eta_det <= 1.0:
-            raise ValueError("eta_det must be in [0, 1]")
-        # n_shots >= 2: the shelving-cycle standard error uses ddof=1
-        for name, low, cap in (("n_cycles", 1, MAX_CYCLES), ("threshold", 1, MAX_CYCLES),
-                               ("n_shots", 2, MAX_SHOTS)):
-            if not low <= getattr(self, name) <= cap:
-                raise ValueError(f"{name} must be in [{low}, {cap}]")
+# the config section and its caps, re-exported under their old path
+from .config import MAX_CYCLES, MAX_SHOTS, ReadoutConfig
 
 
 @dataclass

@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .photonlink import (MAX_LINK_SAMPLES, LinkBudget, link_attempt_stats,
-                         sample_link_times, wavepacket_overlap_error)
+from .config import ChainConfig, LinkBudget
+from .photonlink import link_attempt_stats, sample_link_times
 
 # simulate_chain draws and merges about this many link samples at a time
 BLOCK_SAMPLES = 2 ** 19
@@ -41,34 +41,6 @@ class WernerPair:
 
     def fidelity(self) -> float:
         return (1.0 + 3.0 * self.w) / 4.0
-
-
-@dataclass
-class ChainConfig:
-    n_links: int = 64
-    eps_gate: float = 0.005
-    eps_meas: float = 0.005
-    w0: float | None = None      # derived from the heralded-pair error if None
-    n_trials: int = 2000
-
-    def __post_init__(self):
-        if self.n_links < 1 or self.n_links & (self.n_links - 1):
-            raise ValueError("n_links must be a power of two")
-        for name in ("eps_gate", "eps_meas"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1)")
-        if self.w0 is not None and not 0.0 <= self.w0 <= 1.0:
-            raise ValueError("w0 must be in [0, 1]")
-        # the reported standard error (ddof=1) needs two trials
-        if self.n_trials < 2:
-            raise ValueError("n_trials must be at least 2")
-        if self.n_trials * self.n_links > MAX_LINK_SAMPLES:
-            raise ValueError(f"n_trials x n_links must be at most {MAX_LINK_SAMPLES}")
-
-    def initial_werner(self, link: LinkBudget, t_rad_ps: float) -> float:
-        if self.w0 is not None:
-            return self.w0
-        return 1.0 - wavepacket_overlap_error(link.delta_e_uev, t_rad_ps)
 
 
 @dataclass
@@ -118,6 +90,7 @@ def analytic_mean_time(cfg: ChainConfig, link: LinkBudget, t_rad_ps: float) -> f
     return stats["mean_time_ms"] * 1.5 ** levels + delays
 
 
+@np.errstate(over="raise", invalid="raise")
 def simulate_chain(cfg: ChainConfig, n_trials: int | None = None, seed=0,
                    keep_trials: bool = False, link: LinkBudget | None = None,
                    t_rad_ps: float = 300.0) -> ChainResult:
@@ -128,7 +101,8 @@ def simulate_chain(cfg: ChainConfig, n_trials: int | None = None, seed=0,
     the times are sampled.  Trials are drawn and merged in blocks of about
     BLOCK_SAMPLES link samples, from one stream in trial order, so the
     working set is one block plus one total per trial.  n_trials, when
-    given, replaces cfg.n_trials; link defaults to LinkBudget().
+    given, replaces cfg.n_trials; link defaults to LinkBudget().  A time or
+    statistic that overflows raises FloatingPointError.
     """
     if n_trials is not None:
         cfg = replace(cfg, n_trials=n_trials)

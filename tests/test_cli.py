@@ -12,8 +12,7 @@ import time
 import numpy as np
 import pytest
 
-import dotlink
-from dotlink import PulsedDrive, cli, phonon, simulate_conditional_gate
+from dotlink import PulsedDrive, cli, gatesim, phonon, simulate_conditional_gate
 from dotlink.cli import main
 from dotlink.gatesim import excited_population
 from dotlink.phonon import spectral_density
@@ -59,9 +58,10 @@ def test_gate_run(tmp_path):
     # infinity is the perfect-blockade limit, accepted from the command line
     assert run(tmp_path, "gate", "--set", "gate.e_dd_mev=Infinity") == 0
     blockade = simulate_conditional_gate(PulsedDrive(), math.inf, lindblad_check=False)
-    # the report echoes e_dd_mev = Infinity, so it is read leniently
-    with open(tmp_path / "gate_report.json") as fh:
-        assert json.load(fh)["phi_cond_rad"] == blockade.phi_cond_rad
+    # the report echoes e_dd_mev as the string "Infinity", so it stays strict JSON
+    rep = read_json(tmp_path, "gate_report.json")
+    assert rep["phi_cond_rad"] == blockade.phi_cond_rad
+    assert rep["e_dd_mev"] == "Infinity"
 
 
 def test_tune_run_and_degenerate_field(tmp_path):
@@ -162,19 +162,20 @@ def test_failed_phonon_run_writes_nothing(tmp_path, capsys, monkeypatch):
     assert snapshot() == before
     # a failure while the trajectory rows stream: the report's temporary,
     # which differs from the file it would replace, is complete and the first
-    # trajectory's rows are written when it raises
+    # trajectory's rows are written when it raises.  The gate's exposures
+    # make the first two calls, the rows of its two trajectories the next two
     calls = []
 
-    def fails_second_call(traj):
+    def fails_fourth_call(traj):
         calls.append(traj)
-        if len(calls) == 2:
+        if len(calls) == 4:
             raise RuntimeError("populations unavailable")
         return excited_population(traj)
 
-    monkeypatch.setattr(cli, "excited_population", fails_second_call)
+    monkeypatch.setattr(gatesim, "excited_population", fails_fourth_call)
     assert run(tmp_path, "gate", "--trajectories", "--set", "gate.e_dd_mev=4") == 2
     assert "numerical failure: populations unavailable" in capsys.readouterr().err
-    assert len(calls) == 2
+    assert len(calls) == 4 and calls[2] is calls[0] and calls[3] is calls[1]
     assert snapshot() == before
 
 
@@ -209,6 +210,17 @@ def test_manifest_records_inputs_outside_the_config(tmp_path):
     assert run(tmp_path, "sweep", "--param", "link.delta_e_uev", "--values", "0,0.1") == 0
     manifest = read_json(tmp_path, "run_manifest.json")
     assert (manifest["param"], manifest["values"]) == ("link.delta_e_uev", "0,0.1")
+
+
+def test_manifest_records_loaded_modules(tmp_path):
+    # as the console script runs it: this module is __main__, named by its spec
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    subprocess.run([sys.executable, "-m", "dotlink.cli", "tune", "--out", str(tmp_path)],
+                   env=env, check=True, capture_output=True)
+    assert read_json(tmp_path, "run_manifest.json")["modules"] == [
+        "dotlink.cli", "dotlink.config", "dotlink.dotmodel", "dotlink.units"]
+    assert run(tmp_path, "gate") == 0
+    assert {"dotlink.gatesim", "numpy"} <= set(read_json(tmp_path, "run_manifest.json")["modules"])
 
 
 def test_result_file_modes_follow_umask(tmp_path):
@@ -402,6 +414,9 @@ BAD_INPUTS = [
     (["phonon", "--set", "dot.d_eh_nm=1e308"], 1, "configuration error: dot: thickness_nm"),
     (["phonon", "--set", "dot.thickness_nm=1e-300", "--set", "phonon.e_s_mev=1e300"], 1,
      "configuration error: dot: thickness_nm"),
+    # link times whose sums overflow: a non-finite number is never written as success
+    (["link", "--set", "link.l0_km=1e308", "--trials", "2000"], 2, "numerical failure"),
+    (["repeater", "--set", "link.l0_km=1e308", "--trials", "2000"], 2, "numerical failure"),
 ]
 
 
@@ -471,21 +486,40 @@ def test_out_path_is_a_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("output error")
 
 
-def test_light_runs_load_no_scipy_solvers(tmp_path):
-    # scipy takes 0.3 to 1 s to import, and only the public RK45 integrators
-    # need it (scipy.integrate, imported on first use): a gate run, a
-    # calibration, a phonon run and a phonon sweep load no scipy module at all
-    code = ("import math, sys\n"
-            "import dotlink, dotlink.cli\n"
-            "dotlink.calibrate_phase(dotlink.PulsedDrive(), math.pi)\n"
-            f"out = {str(tmp_path)!r}\n"
-            "assert dotlink.cli.main(['gate', '--trajectories', '--out', out]) == 0\n"
-            "assert dotlink.cli.main(['phonon', '--out', out]) == 0\n"
-            "assert dotlink.cli.main(['sweep', '--param', 'phonon.e_s_mev',"
-            " '--values', '5,7.5', '--out', out]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    src = os.path.dirname(os.path.dirname(dotlink.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip().splitlines()[-1] == "[]"
+# LIGHT is what `import dotlink.cli` loads; each run adds the modules it uses
+LIGHT = {"cli", "config", "dotmodel", "units"}
+CLI = "from dotlink.cli import main\nassert main({!r} + ['--out', {!r}]) == {}\n"
+MODULES_LOADED = [
+    # (id, code or CLI argv and exit code, dotlink modules, numpy loaded)
+    ("package", "import dotlink", set(), False),
+    ("cli", "import dotlink.cli", LIGHT, False),
+    ("usage-error", (["gate", "--bogus"], 1), LIGHT, False),
+    ("config-error", (["gate", "--set", "drive.bogus=1"], 1), LIGHT, False),
+    ("tune", (["tune"], 0), LIGHT, False),
+    ("gate", (["gate", "--trajectories"], 0), LIGHT | {"gatesim", "qcore"}, True),
+    ("phonon", (["phonon"], 0), LIGHT | {"phonon"}, True),
+    ("link", (["link", "--trials", "1000"], 0), LIGHT | {"photonlink"}, True),
+    ("readout", (["readout", "--trials", "1000"], 0), LIGHT | {"readout"}, True),
+    ("repeater", (["repeater", "--trials", "200", "--per-trial"], 0),
+     LIGHT | {"repeater", "photonlink"}, True),
+    ("sweep-gate", (["sweep", "--param", "gate.e_dd_mev", "--values", "5"], 0),
+     LIGHT | {"gatesim", "qcore"}, True),
+    ("sweep-phonon", (["sweep", "--param", "phonon.e_s_mev", "--values", "5,7.5"], 0),
+     LIGHT | {"phonon"}, True),
+    ("sweep-link", (["sweep", "--param", "link.delta_e_uev", "--values", "0.1"], 0),
+     LIGHT | {"photonlink"}, True),
+    ("calibrate",
+     "import math, dotlink\ndotlink.calibrate_phase(dotlink.PulsedDrive(), math.pi)\n",
+     {"config", "dotmodel", "units", "gatesim", "qcore"}, True),
+]
+
+
+@pytest.mark.parametrize("run_,modules,numpy", [pytest.param(*row[1:], id=row[0])
+                                                for row in MODULES_LOADED])
+def test_runs_load_only_what_they_use(tmp_path, fresh_modules, run_, modules, numpy):
+    # numpy is most of a light run's startup; scipy takes 0.3 to 1 s to
+    # import, and only the public RK45 integrators need it, on first use, so
+    # no row loads it
+    code = run_ if isinstance(run_, str) else CLI.format(run_[0], str(tmp_path), run_[1])
+    expected = {f"dotlink.{m}" for m in modules} | ({"numpy"} if numpy else set())
+    assert fresh_modules(code) == expected

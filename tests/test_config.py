@@ -1,6 +1,7 @@
 """Configuration loading, overrides, hashing, and RNG stream derivation."""
 
 import dataclasses
+import importlib
 import json
 import math
 
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import dotlink
+from dotlink import config
 from dotlink.config import (
     ExperimentConfig,
     apply_override,
@@ -194,3 +197,41 @@ def test_any_mapping_loads_or_raises_value_error(raw):
     except ValueError:
         return
     assert len(cfg.config_hash()) == 64
+
+
+# the package's 47 public names by defining module: the sections came to
+# config from the numeric modules that consume them, which still export them
+PUBLIC_API = {
+    "config": "ChainConfig LinkBudget PulsedDrive RamanConfig ReadoutConfig",
+    "dotmodel": "DotConfig MaterialConstants NodePlan GAAS ZNSE addressing_plan "
+                "control_precision dipole_dipole_energy photon_energies varshni_shift "
+                "varshni_slope",
+    "gatesim": "GateReport calibrate_phase raman_gate_error simulate_conditional_gate",
+    "phonon": "EnvelopeWavefunction PhononModel min_separation model_from_dot phonon_error "
+              "spectral_density",
+    "photonlink": "BellOutcome bsa_coincidence dephasing_error link_attempt_stats "
+                  "photon_efficiency sample_link_times wavepacket_overlap_error",
+    "qcore": "TimeDependentHamiltonian Trajectory basis_state evolve_lindblad "
+             "evolve_schrodinger pure_density",
+    "readout": "ReadoutReport poisson_limit_error simulate_readout",
+    "repeater": "ChainResult WernerPair analytic_mean_time simulate_chain swap",
+}
+MOVED = {"gatesim": "PulsedDrive RamanConfig", "photonlink": "LinkBudget MAX_LINK_SAMPLES",
+         "readout": "ReadoutConfig MAX_SHOTS MAX_CYCLES", "repeater": "ChainConfig"}
+
+
+def test_public_api_unchanged():
+    exported = [(module, name) for module, names in PUBLIC_API.items()
+                for name in names.split()]
+    assert len(exported) == 47
+    assert sorted(dotlink.__all__) == sorted(name for _, name in exported)
+    for module, name in exported:
+        assert name in dir(dotlink)
+        assert getattr(dotlink, name) is getattr(importlib.import_module(f"dotlink.{module}"),
+                                                 name), name
+    for module, names in MOVED.items():
+        old = importlib.import_module(f"dotlink.{module}")
+        for name in names.split():
+            assert getattr(old, name) is getattr(config, name), name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        dotlink.no_such_name
