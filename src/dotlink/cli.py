@@ -149,11 +149,8 @@ def run_readout(cfg: ExperimentConfig, args) -> tuple[dict, str]:
 
 def run_repeater(cfg: ExperimentConfig, args) -> tuple[dict, str]:
     from .repeater import simulate_chain
-    n_trials = cfg.chain.n_trials if args.trials is None else args.trials
-    result = simulate_chain(cfg.chain, n_trials=n_trials,
-                            seed=derive_rng(cfg.seed, "repeater"),
-                            keep_trials=args.per_trial, link=cfg.link,
-                            t_rad_ps=cfg.dot.t_rad_ps)
+    result = simulate_chain(cfg.chain, args.trials, derive_rng(cfg.seed, "repeater"),
+                            link=cfg.link, t_rad_ps=cfg.dot.t_rad_ps)
     results = {"repeater_report.json": _report_fields(result)}
     if args.per_trial:
         results["repeater_trials.csv"] = (["trial", "total_time_ms"],
@@ -189,7 +186,7 @@ def run_sweep(cfg: ExperimentConfig, args) -> tuple[dict, str]:
     # each value must load as that config key would: NaN, say, is refused
     section, key = args.param.split(".")
     for v in values:
-        raw = cfg.canonical_dict()
+        raw = dataclasses.asdict(cfg)
         raw[section][key] = v
         config_from_dict(raw)
 
@@ -206,7 +203,7 @@ def run_sweep(cfg: ExperimentConfig, args) -> tuple[dict, str]:
         header = ["e_dd_mev", "phi_cond_rad", "adiabatic"]
         rows = []
         for v in values:
-            rep = simulate_conditional_gate(cfg.drive, v, lindblad_check=False)
+            rep = simulate_conditional_gate(cfg.drive, v)
             rows.append((f"{v:.6g}", f"{rep.phi_cond_rad:.9f}", int(rep.adiabatic)))
     else:
         from .photonlink import wavepacket_overlap_error

@@ -5,18 +5,19 @@ dataclass whose field annotations are the schema: the loader checks every
 value's JSON type against its field's annotation, and the dataclass's own
 __post_init__ checks its range.  Unknown keys are rejected so typos fail
 loudly.  Dotted command-line overrides (section.key=value) are applied to
-the raw mapping before any validation runs.
+the raw mapping before any validation runs.  A section never resolves its
+own null field; the module that consumes the section derives it: photonlink
+the efficiency for link.eta_override, repeater the Werner weight for chain.w0.
 
 The sections live here, except `dot` and `material`, which come from the
 numpy-free dotmodel, so loading a config imports no numpy and no numeric
 module; each numeric module re-exports the sections it consumes.  numpy is
-imported by derive_rng and PulsedDrive.omega, photonlink by
-ChainConfig.initial_werner, only when called.  Since `import dotlink` is
-lazy and each CLI runner imports its own module, `dotlink tune` loads only
-cli, config, dotmodel and units; every other subcommand adds numpy and its
-numeric modules (gate: gatesim, qcore; phonon: phonon; link: photonlink;
-readout: readout; repeater: repeater, photonlink), and a sweep those of
-its parameter's subcommand.
+imported by derive_rng and PulsedDrive.omega only when called.  Since
+`import dotlink` is lazy and each CLI runner imports its own module,
+`dotlink tune` loads only cli, config, dotmodel and units; every other
+subcommand adds numpy and its numeric modules (gate: gatesim, qcore;
+phonon: phonon; link: photonlink; readout: readout; repeater: repeater,
+photonlink), and a sweep those of its parameter's subcommand.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ class ChainConfig:
     n_links: int = 64
     eps_gate: float = 0.005
     eps_meas: float = 0.005
-    w0: float | None = None      # derived from the heralded-pair error if None
+    w0: float | None = None      # None: simulate_chain derives it from the link
     n_trials: int = 2000
 
     def __post_init__(self):
@@ -165,12 +166,6 @@ class ChainConfig:
             raise ValueError("n_trials must be at least 2")
         if self.n_trials * self.n_links > MAX_LINK_SAMPLES:
             raise ValueError(f"n_trials x n_links must be at most {MAX_LINK_SAMPLES}")
-
-    def initial_werner(self, link: LinkBudget, t_rad_ps: float) -> float:
-        if self.w0 is not None:
-            return self.w0
-        from .photonlink import wavepacket_overlap_error
-        return 1.0 - wavepacket_overlap_error(link.delta_e_uev, t_rad_ps)
 
 
 @dataclass
@@ -219,13 +214,10 @@ class ExperimentConfig:
     gate: GateSettings = field(default_factory=GateSettings)
     raman: RamanConfig = field(default_factory=RamanConfig)
 
-    def canonical_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     def config_hash(self) -> str:
         # out_dir is an execution detail: the same physics configuration must
         # hash identically wherever the results land
-        blob = self.canonical_dict()
+        blob = dataclasses.asdict(self)
         blob.pop("out_dir")
         text = json.dumps(blob, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode()).hexdigest()

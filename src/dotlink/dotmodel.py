@@ -99,8 +99,10 @@ class NodePlan:
 
     def __post_init__(self):
         self.n_qubits = len(self.slots_mev)
+        # a product i * e_s is off by up to an ulp of itself, so the spacing
+        # tolerance scales with the slot value
         for a, b in zip(self.slots_mev, self.slots_mev[1:]):
-            if b - a < self.e_s_mev - 1e-12:
+            if b - a < self.e_s_mev - 1e-12 * b:
                 raise ValueError("slot spacing below minimum separation")
         if any(not (0.0 <= s < self.e_w_mev) for s in self.slots_mev):
             raise ValueError("slot outside addressing window")
@@ -167,15 +169,18 @@ def dipole_dipole_energy(d_eh_nm: float, r_nm: float, eps_r: float,
 
 
 def addressing_plan(e_w_mev: float = 15.0, e_s_mev: float = 7.5) -> NodePlan:
-    """Assign trion-energy slots spaced by e_s inside the window [0, e_w)."""
+    """Assign trion-energy slots spaced by e_s inside the window [0, e_w).
+
+    The slots are the products i * e_s, as rounded, that fall below e_w.
+    """
     if e_w_mev <= 0 or e_s_mev <= 0:
         raise ValueError("window and separation must be positive")
-    # the float ratio is compared before int(), so an infinite one is refused too
-    ratio = (e_w_mev - 1e-6) / e_s_mev
-    if not ratio < MAX_PLAN_SLOTS:
+    # the float ratio is compared before ceil(), so an infinite one is refused too
+    ratio = e_w_mev / e_s_mev
+    if not ratio <= MAX_PLAN_SLOTS:
         raise ValueError(f"addressing plan exceeds {MAX_PLAN_SLOTS} slots")
-    n = 1 + int(ratio)
-    return NodePlan(e_w_mev, e_s_mev, tuple(i * e_s_mev for i in range(n)))
+    candidates = (i * e_s_mev for i in range(min(math.ceil(ratio) + 1, MAX_PLAN_SLOTS)))
+    return NodePlan(e_w_mev, e_s_mev, tuple(s for s in candidates if s < e_w_mev))
 
 
 def tune_report(dot: DotConfig, material: MaterialConstants, de_target_uev: float,

@@ -182,11 +182,12 @@ def _magnus_exponents(stack: np.ndarray, v: np.ndarray, omega: Callable,
     if not t1 > t0:
         raise ValueError(f"empty support ({t0}, {t1})")
 
-    comm = stack @ v - v @ stack
-    times = np.linspace(t0, t1, n_steps + 1)
+    # checked before linspace, which an infinite support would fill with NaN
     dt = (t1 - t0) / n_steps
     if not math.isfinite(dt * dt):
         raise RuntimeError(f"Magnus step width {dt:.3e} ps is too wide: its square overflows")
+    comm = stack @ v - v @ stack
+    times = np.linspace(t0, t1, n_steps + 1)
     w1, w2 = (np.asarray(omega(times[:-1] + c * dt), dtype=float) for c in _GL_NODES)
     # per step, broadcast over (batch, d, d)
     mean_w = (0.5 * dt * (w1 + w2))[:, None, None, None]

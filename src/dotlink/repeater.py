@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ChainConfig, LinkBudget
-from .photonlink import link_attempt_stats, sample_link_times
+from .photonlink import link_attempt_stats, sample_link_times, wavepacket_overlap_error
 
 # simulate_chain draws and merges about this many link samples at a time
 BLOCK_SAMPLES = 2 ** 19
@@ -55,7 +55,7 @@ class ChainResult:
     times_ms: dict
     per_level: list
     analytic_mean_ms: float
-    trial_times_ms: np.ndarray | None = None
+    trial_times_ms: np.ndarray
 
 
 def swap(a: WernerPair, b: WernerPair, eps_gate: float, eps_meas: float,
@@ -92,17 +92,17 @@ def analytic_mean_time(cfg: ChainConfig, link: LinkBudget, t_rad_ps: float) -> f
 
 @np.errstate(over="raise", invalid="raise")
 def simulate_chain(cfg: ChainConfig, n_trials: int | None = None, seed=0,
-                   keep_trials: bool = False, link: LinkBudget | None = None,
-                   t_rad_ps: float = 300.0) -> ChainResult:
+                   link: LinkBudget | None = None, t_rad_ps: float = 300.0) -> ChainResult:
     """Distribution of end-to-end entanglement time and fidelity.
 
     All elementary links start attempting at t = 0; each level swaps as soon
     as both children are ready.  Werner weights are deterministic, so only
     the times are sampled.  Trials are drawn and merged in blocks of about
     BLOCK_SAMPLES link samples, from one stream in trial order, so the
-    working set is one block plus one total per trial.  n_trials, when
-    given, replaces cfg.n_trials; link defaults to LinkBudget().  A time or
-    statistic that overflows raises FloatingPointError.
+    working set is one block plus the per-trial totals, trial_times_ms.
+    n_trials, when given, replaces cfg.n_trials; link defaults to
+    LinkBudget(), and a null cfg.w0 to 1 minus its wavepacket-overlap error.
+    A time or statistic that overflows raises FloatingPointError.
     """
     if n_trials is not None:
         cfg = replace(cfg, n_trials=n_trials)
@@ -111,7 +111,8 @@ def simulate_chain(cfg: ChainConfig, n_trials: int | None = None, seed=0,
     rng = np.random.default_rng(seed)
 
     stats = link_attempt_stats(link, t_rad_ps)
-    w0 = cfg.initial_werner(link, t_rad_ps)
+    w0 = (1.0 - wavepacket_overlap_error(link.delta_e_uev, t_rad_ps)
+          if cfg.w0 is None else cfg.w0)
     levels = int(math.log2(cfg.n_links))
     rows = max(2, BLOCK_SAMPLES // cfg.n_links)
     # block edges; a remainder of one trial joins the block before it, since
@@ -151,4 +152,4 @@ def simulate_chain(cfg: ChainConfig, n_trials: int | None = None, seed=0,
         w0=w0, w_final=pair.w, fidelity_final=pair.fidelity(),
         times_ms=times, per_level=per_level,
         analytic_mean_ms=analytic_mean_time(cfg, link, t_rad_ps),
-        trial_times_ms=total if keep_trials else None)
+        trial_times_ms=total)

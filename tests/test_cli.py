@@ -1,19 +1,26 @@
 """End-to-end CLI runs: exit codes, output files, reproducibility."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import tempfile
 import time
+import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dotlink import PulsedDrive, cli, gatesim, phonon, simulate_conditional_gate
+from dotlink import PulsedDrive, cli, gatesim, phonon, qcore, simulate_conditional_gate
 from dotlink.cli import main
+from dotlink.config import ExperimentConfig
 from dotlink.gatesim import excited_population
 from dotlink.phonon import spectral_density
 
@@ -417,6 +424,10 @@ BAD_INPUTS = [
     # link times whose sums overflow: a non-finite number is never written as success
     (["link", "--set", "link.l0_km=1e308", "--trials", "2000"], 2, "numerical failure"),
     (["repeater", "--set", "link.l0_km=1e308", "--trials", "2000"], 2, "numerical failure"),
+    # a support of +-inf, refused before linspace fills the grid with NaN
+    (["gate", "--set", "drive.tau_ps=1e308"], 2, "numerical failure: Magnus step width"),
+    (["sweep", "--param", "gate.e_dd_mev", "--values", "1,5", "--set", "drive.tau_ps=1e308"],
+     2, "numerical failure: Magnus step width"),
 ]
 
 
@@ -426,6 +437,69 @@ def test_bad_input_exit_codes(tmp_path, capsys, argv, code, prefix):
     assert main(argv + ["--out", str(tmp_path)]) == code
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1
+
+
+# every subcommand at small Monte Carlo sizes, each sweep over two values
+CONTRACT_RUNS = [
+    ["gate"], ["phonon"], ["tune"],
+    ["link", "--trials", "200"], ["readout", "--trials", "200"], ["repeater", "--trials", "200"],
+    ["sweep", "--param", "phonon.e_s_mev", "--values", "2,8"],
+    ["sweep", "--param", "gate.e_dd_mev", "--values", "1,5"],
+    ["sweep", "--param", "link.delta_e_uev", "--values", "0,0.5"],
+]
+
+
+def _numeric_keys():
+    """section.key for every int or float field a section's --set can change.
+
+    Read from the section dataclasses, so a new key is fuzzed without an edit.
+    A field without a default (material's) is set only with its whole section.
+    """
+    keys = []
+    for section in dataclasses.fields(ExperimentConfig):
+        cls = typing.get_type_hints(ExperimentConfig)[section.name]
+        if not dataclasses.is_dataclass(cls):
+            continue
+        hints = typing.get_type_hints(cls)
+        keys += [f"{section.name}.{f.name}" for f in dataclasses.fields(cls)
+                 if f.init and f.default is not dataclasses.MISSING
+                 and {int, float} & {hints[f.name], *typing.get_args(hints[f.name])}]
+    return keys
+
+
+FUZZ_VALUES = ["0", "-1", "1e-300", "1e-8", "1e6", "1e20", "5e307", "1e308", "-1e308"]
+
+
+class _RunHung(Exception):
+    """Raised by the alarm: main maps no exception of this type to an exit code."""
+
+
+def _hung(signum, frame):
+    raise _RunHung("a run took over 20 s")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(argv=st.sampled_from(CONTRACT_RUNS),
+       overrides=st.lists(st.tuples(st.sampled_from(_numeric_keys()),
+                                    st.sampled_from(FUZZ_VALUES)), min_size=1, max_size=2))
+def test_run_contract(argv, overrides):
+    # any input ends in exit 0, 1 or 2 with strict JSON results: no traceback,
+    # no warning (the suite raises them) and no hang.  A sixteenth of the
+    # Magnus step cap keeps a gate that runs to it at ~50 ms.
+    sets = [arg for key, value in overrides for arg in ("--set", f"{key}={value}")]
+    previous = signal.signal(signal.SIGALRM, _hung)
+    with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qcore, "MAX_MAGNUS_STEPS", qcore.MAX_MAGNUS_STEPS // 16)
+        signal.alarm(20)
+        try:
+            code = main(argv + sets + ["--out", out])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code in (0, 1, 2)
+        for name in os.listdir(out):
+            if name.endswith(".json"):
+                read_json(out, name)
 
 
 def test_phonon_at_dot_size_bounds(tmp_path, capsys):

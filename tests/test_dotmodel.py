@@ -139,6 +139,15 @@ def test_addressing_plan_slot_cap():
             addressing_plan(e_w, e_s)
 
 
+def test_addressing_plan_far_slots():
+    # the rounding of i * e_s grows with i, past an absolute spacing tolerance
+    plan = addressing_plan(16981.3, 1.7)
+    assert plan.n_qubits == 9989 and plan.slots_mev[-1] < 16981.3
+    # 1e12 - 1e-6 rounds to 1e12, so an absolute window margin put a slot on e_w
+    plan = addressing_plan(1e12, 1e9)
+    assert plan.n_qubits == 1000 and all(s < 1e12 for s in plan.slots_mev)
+
+
 def test_tune_report_sections():
     rep = tune_report(DotConfig(), GAAS, 0.2, 10.0, 15.0, 7.5)
     assert list(rep) == ["photon_energies", "control", "varshni", "dipole_dipole", "plan"]

@@ -8,7 +8,7 @@ from scipy.stats import geom
 
 from dotlink import repeater
 from dotlink.photonlink import (MAX_LINK_SAMPLES, LinkBudget, link_attempt_stats,
-                                sample_link_times)
+                                sample_link_times, wavepacket_overlap_error)
 from dotlink.repeater import (
     ChainConfig,
     WernerPair,
@@ -95,11 +95,11 @@ def test_chain_config_validation():
     ChainConfig(n_links=64, n_trials=100_000)
     with pytest.raises(ValueError):
         ChainConfig(n_links=64, n_trials=MAX_LINK_SAMPLES // 64 + 1)
-    # default w0 comes from the heralded-pair error
-    cfg = ChainConfig()
-    assert abs(cfg.initial_werner(LinkBudget(), 300.0) - (1.0 - 0.0082409)) <= 1e-6
-    assert ChainConfig(w0=0.7).initial_werner(LinkBudget(), 300.0) == 0.7
-    assert ChainConfig().initial_werner(LinkBudget(delta_e_uev=0.0), 300.0) == 1.0
+    # a null w0 is derived by the chain from the heralded-pair error
+    one = ChainConfig(n_links=1)
+    assert abs(simulate_chain(one, 10).w0 - (1.0 - 0.0082409)) <= 1e-6
+    assert simulate_chain(ChainConfig(n_links=1, w0=0.7), 10).w0 == 0.7
+    assert simulate_chain(one, 10, link=LinkBudget(delta_e_uev=0.0)).w0 == 1.0
 
 
 def test_single_link_mean_time():
@@ -114,7 +114,7 @@ def test_single_link_mean_time():
         assert repeater_time_quantile(1, res.p_success, res.period_ms, 0.0, f) \
             == res.period_ms * geom.ppf(f, res.p_success)
     # one link's trial times are the link sampler's draws
-    one = simulate_chain(cfg, n_trials=100, seed=np.random.default_rng(5), keep_trials=True)
+    one = simulate_chain(cfg, n_trials=100, seed=np.random.default_rng(5))
     assert np.array_equal(one.trial_times_ms, sample_link_times(
         LinkBudget(), 300.0, 100, np.random.default_rng(5)))
 
@@ -141,7 +141,7 @@ def test_deep_chain_analytic_within_factor():
 def test_default_chain_fidelity():
     res = simulate_chain(ChainConfig(), n_trials=500, seed=8)
     # 6 swap levels square the Werner weight each time
-    w = ChainConfig().initial_werner(LinkBudget(), 300.0)
+    w = 1.0 - wavepacket_overlap_error(0.2, 300.0)
     depol = (1 - 0.005) * (1 - 0.005) ** 2
     for _ in range(6):
         w = w * w * depol
@@ -174,10 +174,9 @@ def test_chain_reproducible_and_trials_kept():
     a = simulate_chain(ChainConfig(n_links=8), n_trials=300, seed=42)
     b = simulate_chain(ChainConfig(n_links=8), n_trials=300, seed=42)
     assert a.times_ms == b.times_ms
-    assert a.trial_times_ms is None
-    c = simulate_chain(ChainConfig(n_links=8), n_trials=300,
-                       seed=np.random.default_rng(42), keep_trials=True)
-    assert c.trial_times_ms is not None and len(c.trial_times_ms) == 300
+    assert np.array_equal(a.trial_times_ms, b.trial_times_ms)
+    c = simulate_chain(ChainConfig(n_links=8), n_trials=300, seed=np.random.default_rng(42))
+    assert len(c.trial_times_ms) == 300
     assert float(np.mean(c.trial_times_ms)) == a.times_ms["mean_ms"]
     # each trial waits for its slowest link, then pays the delays of 3 levels
     attempts = np.random.default_rng(42).geometric(c.p_success, size=(300, 8))
@@ -202,7 +201,7 @@ def test_per_level_bookkeeping():
 @pytest.mark.parametrize("n_links,n_trials,block", [(8, 301, 20), (4, 1000, 64), (1, 7, 3)])
 def test_blocked_chain_matches_one_block(monkeypatch, n_links, n_trials, block):
     cfg = ChainConfig(n_links=n_links)
-    whole = simulate_chain(cfg, n_trials=n_trials, seed=3, keep_trials=True)
+    whole = simulate_chain(cfg, n_trials=n_trials, seed=3)
     drawn = []
 
     def counted(budget, t_rad_ps, n, rng):
@@ -211,7 +210,7 @@ def test_blocked_chain_matches_one_block(monkeypatch, n_links, n_trials, block):
 
     monkeypatch.setattr(repeater, "BLOCK_SAMPLES", block)
     monkeypatch.setattr(repeater, "sample_link_times", counted)
-    blocked = simulate_chain(cfg, n_trials=n_trials, seed=3, keep_trials=True)
+    blocked = simulate_chain(cfg, n_trials=n_trials, seed=3)
     # one stream drawn in trial order: the same totals, bit for bit
     assert len(drawn) > 1 and sum(drawn) == n_trials * n_links
     assert np.array_equal(blocked.trial_times_ms, whole.trial_times_ms)
@@ -229,5 +228,5 @@ def test_chain_working_set_bounded(fresh_peak_mb):
     # 64 links x 1e5 trials drawn at once took ~135 MB; in blocks the chain
     # keeps one block and the (n_trials,) totals
     code = ("from dotlink.repeater import ChainConfig, simulate_chain\n"
-            "simulate_chain(ChainConfig(), n_trials=100_000, keep_trials=True)\n")
+            "simulate_chain(ChainConfig(), n_trials=100_000)\n")
     assert fresh_peak_mb(code) < 80.0
