@@ -15,11 +15,11 @@ it uses: `tune` loads no numpy, and no run loads scipy.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -27,18 +27,24 @@ from . import __version__
 from .config import ExperimentConfig, config_from_dict, derive_rng, load_config
 
 # large CSVs are formatted this many rows at a time: one chunk in memory, not the file
-CHUNK_ROWS = 1 << 16
+CHUNK_ROWS = 1 << 12
 
 
 def _indexed_rows(values, fmt: str):
-    """(index, fmt.format(value)) rows, formatted a chunk at a time."""
+    """CSV lines "index,value", fmt a %-format of each value, a chunk per string."""
     for start in range(0, len(values), CHUNK_ROWS):
         chunk = values[start:start + CHUNK_ROWS].tolist()
-        yield from zip(range(start, start + len(chunk)), map(fmt.format, chunk))
+        fields = [0] * (2 * len(chunk))
+        fields[::2], fields[1::2] = range(start, start + len(chunk)), chunk
+        yield f"%d,{fmt}\r\n" * len(chunk) % tuple(fields)
 
 
 def _write_results(outdir: str, results: dict) -> None:
-    """Write each result, a .json payload or a .csv (header, rows), all or none.
+    """Write each result, a .json payload or a .csv (header, lines), all or none.
+
+    A CSV is its header's names joined by commas and then its text lines, each
+    ending in CRLF as the csv module writes them; every field is a number or
+    a fixed label, so none needs quoting.
 
     Each streams into its own temporary in outdir, made as open() makes files,
     so its mode follows the umask.  The temporaries are renamed into place, in
@@ -58,10 +64,9 @@ def _write_results(outdir: str, results: dict) -> None:
                         raise ArithmeticError(f"{name} holds a non-finite number") from None
                     fh.write(text + "\n")
                 else:
-                    header, rows = result
-                    writer = csv.writer(fh)
-                    writer.writerow(header)
-                    writer.writerows(rows)
+                    header, lines = result
+                    fh.write(",".join(header) + "\r\n")
+                    fh.writelines(lines)
         # a directory in a target's place would fail its rename after the
         # earlier ones: refuse it before any
         for _, name in temps:
@@ -100,9 +105,9 @@ def run_gate(cfg: ExperimentConfig, args) -> tuple[dict, str]:
     if args.trajectories:
         results["gate_trajectories.csv"] = (
             ["input", "time_ps", "excited_population"],
-            ((label, f"{t:.6f}", f"{p:.9e}")
+            ("%s,%.6f,%.9e\r\n" % (label, t, p)
              for label, traj in report.trajectories.items()
-             for t, p in zip(traj.times, excited_population(traj))))
+             for t, p in zip(traj.times.tolist(), excited_population(traj).tolist())))
     return results, (f"phi_cond = {report.phi_cond_rad:.6f} rad, "
                      f"single-dot exposure = {report.exposure_single_ps:.4f} ps, "
                      f"eps_spont = {report.eps_spont:.4%}")
@@ -118,8 +123,8 @@ def run_phonon(cfg: ExperimentConfig, args) -> tuple[dict, str]:
     payload = phonon_report(model_from_dot(cfg.dot, cfg.material), cfg.drive,
                             ps.e_s_mev, ps.error_budget, grid)
     table = payload.pop("table")
-    rows = ((f"{d:.4f}", f"{jd:.9e}", f"{ed:.9e}") for d, jd, ed in zip(*table.values()))
-    return {"phonon_report.json": payload, "phonon_table.csv": (list(table), rows)}, (
+    lines = ("%.4f,%.9e,%.9e\r\n" % row for row in zip(*table.values()))
+    return {"phonon_report.json": payload, "phonon_table.csv": (list(table), lines)}, (
         f"phonon error at {ps.e_s_mev} meV = {payload['error_at_e_s']:.4e}, "
         f"min separation for {ps.error_budget} = {payload['min_separation_mev']:.2f} meV")
 
@@ -141,7 +146,7 @@ def run_readout(cfg: ExperimentConfig, args) -> tuple[dict, str]:
         rcfg = dataclasses.replace(rcfg, n_shots=args.trials)
     report = simulate_readout(rcfg, derive_rng(cfg.seed, "readout"))
     payload = {**_report_fields(report), "n_shots": rcfg.n_shots, "threshold": rcfg.threshold}
-    hist = (["counts", "probability_bright"], _indexed_rows(report.histogram_bright, "{:.9e}"))
+    hist = (["counts", "probability_bright"], _indexed_rows(report.histogram_bright, "%.9e"))
     return {"readout_report.json": payload, "readout_histogram.csv": hist}, (
         f"eps_bright = {report.eps_bright:.4%} +- {report.eps_bright_se:.4%} "
         f"(poisson limit {report.poisson_limit:.4%})")
@@ -154,7 +159,7 @@ def run_repeater(cfg: ExperimentConfig, args) -> tuple[dict, str]:
     results = {"repeater_report.json": _report_fields(result)}
     if args.per_trial:
         results["repeater_trials.csv"] = (["trial", "total_time_ms"],
-                                          _indexed_rows(result.trial_times_ms, "{:.6f}"))
+                                          _indexed_rows(result.trial_times_ms, "%.6f"))
     return results, (f"median time = {result.times_ms['p50_ms']:.2f} ms over "
                      f"{result.n_links} links, final fidelity = {result.fidelity_final:.4f}")
 
@@ -196,22 +201,21 @@ def run_sweep(cfg: ExperimentConfig, args) -> tuple[dict, str]:
         from .phonon import model_from_dot, phonon_error
         model = model_from_dot(cfg.dot, cfg.material)
         header = ["e_s_mev", "phonon_error"]
-        rows = [(f"{v:.6g}", f"{e:.9e}")
-                for v, e in zip(values, phonon_error(model, cfg.drive, np.array(values)))]
+        lines = ["%.6g,%.9e\r\n" % row
+                 for row in zip(values, phonon_error(model, cfg.drive, np.array(values)).tolist())]
     elif args.param == "gate.e_dd_mev":
         from .gatesim import simulate_conditional_gate
         header = ["e_dd_mev", "phi_cond_rad", "adiabatic"]
-        rows = []
+        lines = []
         for v in values:
             rep = simulate_conditional_gate(cfg.drive, v)
-            rows.append((f"{v:.6g}", f"{rep.phi_cond_rad:.9f}", int(rep.adiabatic)))
+            lines.append("%.6g,%.9f,%d\r\n" % (v, rep.phi_cond_rad, rep.adiabatic))
     else:
         from .photonlink import wavepacket_overlap_error
         header = ["delta_e_uev", "overlap_error"]
-        rows = [(f"{v:.6g}",
-                 f"{wavepacket_overlap_error(v, cfg.dot.t_rad_ps):.9e}")
-                for v in values]
-    return {"sweep.csv": (header, rows)}, f"swept {args.param} over {len(values)} value(s)"
+        lines = ["%.6g,%.9e\r\n" % (v, wavepacket_overlap_error(v, cfg.dot.t_rad_ps))
+                 for v in values]
+    return {"sweep.csv": (header, lines)}, f"swept {args.param} over {len(values)} value(s)"
 
 
 RUNNERS = {
@@ -226,7 +230,15 @@ RUNNERS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises usage errors to main, which exits 1, instead of exiting 2."""
+    """Raises usage errors to main, which exits 1, instead of exiting 2.
+
+    An argument such as -1,5 or -.5 is a value, not an option, as Python
+    3.13 reads it: 3.11 takes only -1 or -1.5 for a negative number.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise argparse.ArgumentError(None, message)

@@ -12,7 +12,8 @@ the efficiency for link.eta_override, repeater the Werner weight for chain.w0.
 The sections live here, except `dot` and `material`, which come from the
 numpy-free dotmodel, so loading a config imports no numpy and no numeric
 module; each numeric module re-exports the sections it consumes.  numpy is
-imported by derive_rng and PulsedDrive.omega only when called.  Since
+imported by derive_rng, draw_geometric and PulsedDrive.omega only when
+called, and hashlib by derive_rng and config_hash.  Since
 `import dotlink` is lazy and each CLI runner imports its own module,
 `dotlink tune` loads only cli, config, dotmodel and units; every other
 subcommand adds numpy and its numeric modules (gate: gatesim, qcore;
@@ -23,7 +24,6 @@ photonlink), and a sweep those of its parameter's subcommand.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import sys
@@ -215,6 +215,8 @@ class ExperimentConfig:
     raman: RamanConfig = field(default_factory=RamanConfig)
 
     def config_hash(self) -> str:
+        import hashlib
+
         # out_dir is an execution detail: the same physics configuration must
         # hash identically wherever the results land
         blob = dataclasses.asdict(self)
@@ -333,7 +335,29 @@ def load_config(path=None, overrides=(), seed=None, out_dir=None) -> ExperimentC
 
 def derive_rng(seed: int, module: str, index: int = 0) -> np.random.Generator:
     """Independent stream for (seed, module, index), stable across platforms."""
+    import hashlib
+
     import numpy as np
     tag = int.from_bytes(hashlib.sha256(module.encode()).digest()[:8], "big")
     ss = np.random.SeedSequence([int(seed) & (2 ** 63 - 1), tag, int(index)])
     return np.random.default_rng(ss)
+
+
+def draw_geometric(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
+    """rng.geometric(p, size=n), draw for draw, and faster below p = 1/3.
+
+    For 0 < p < 1/3 numpy draws ceil(E / -log1p(-p)) for a standard
+    exponential E and returns INT64_MAX from 2^63 up; the same arithmetic
+    over one standard_exponential array skips its per-draw call.  From
+    p = 1/3 numpy searches instead, so those draws stay with it.
+    """
+    import numpy as np
+    if not 0.0 < p < 1.0 / 3.0:
+        return rng.geometric(p, size=n)
+    z = rng.standard_exponential(n)
+    z /= -np.log1p(-p)
+    np.ceil(z, out=z)
+    with np.errstate(invalid="ignore"):   # a cast past INT64_MAX, replaced next
+        draws = z.astype(np.int64)
+    draws[z >= 2.0 ** 63] = np.iinfo(np.int64).max
+    return draws

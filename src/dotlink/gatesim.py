@@ -191,10 +191,11 @@ def _pair_gate(drive: PulsedDrive, single, e_dd_mev: np.ndarray, tol: float,
     the singly excited ones by omega^2 / (2 (s - delta)).  When that bound
     is under 10 * tol, the phase error of the step doubling, for every e_dd
     of the batch (an infinite one included), the pair runs as the blockade
-    {gg, S}: so large a diagonal would swamp the drive in eigh.  Otherwise
-    it runs on {gg, S, TT}, which needs every e_dd finite.  Returns
-    the pair's grid, states and phases, and per e_dd phi_cond, the largest
-    end-of-pulse excited population and whether it is adiabatic.
+    {gg, S}: so large a diagonal would swamp the drive in the step
+    exponentials.  Otherwise it runs on {gg, S, TT}, which needs every e_dd
+    finite.  Returns the pair's grid, states and phases, and per e_dd
+    phi_cond, the largest end-of-pulse excited population and whether it is
+    adiabatic.
     """
     shifts = np.asarray(e_dd_mev) / HBAR_MEV_PS
     blockaded = drive.omega_sq_integral() < 20.0 * tol * np.abs(shifts - drive.delta)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_LINK_SAMPLES, LinkBudget
+from .config import MAX_LINK_SAMPLES, LinkBudget, draw_geometric
 from .units import HBAR_MEV_PS
 
 PAIR_STATES = ("psi_minus", "psi_plus", "product")
@@ -111,7 +111,7 @@ def sample_link_times(budget: LinkBudget, t_rad_ps: float, n: int,
     if not 2 <= n <= MAX_LINK_SAMPLES:
         raise ValueError(f"sample count must be in [2, {MAX_LINK_SAMPLES}], got {n}")
     stats = link_attempt_stats(budget, t_rad_ps)
-    attempts = rng.geometric(stats["p_success"], size=n)
+    attempts = draw_geometric(rng, stats["p_success"], n)
     return attempts * stats["period_ms"]
 
 

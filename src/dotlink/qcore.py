@@ -28,10 +28,12 @@ MAX_RHS_CALLS = 1_000_000
 # largest Magnus step count, 256x the 400 steps a default gate leg starts
 # from; extreme drives hit it instead of running for minutes
 MAX_MAGNUS_STEPS = 400 * 2 ** 8
-# Magnus step unitaries are built at most this many at a time (144 bytes
-# each for the 3-level pair chain), so their temporaries stay a few MB at
-# any batch or step count
-MAGNUS_BLOCK_STEPS = 1 << 13
+# Magnus step unitaries are built at most this many at a time (144 bytes each on
+# 3 levels), so their temporaries fit a few MB, and a cache, at any batch or step count
+MAGNUS_BLOCK_STEPS = 1 << 11
+# B rows multiply their steps in blocks of at most PRODUCT_ROWS / B steps, the
+# largest power of 2 that also divides the step count
+PRODUCT_ROWS = 16
 # a tracked amplitude needs this modulus at both ends for a meaningful phase
 MIN_PHASE_AMPLITUDE = 0.5
 # a phase increment this large between grid points may have wrapped
@@ -199,18 +201,70 @@ def _magnus_exponents(stack: np.ndarray, v: np.ndarray, omega: Callable,
     return times, exponents
 
 
-def _expm_tridiagonal(k: np.ndarray) -> np.ndarray:
-    """exp(-i K) for a stack of Hermitian tridiagonal matrices K, by a real eigh.
+def _expm_tridiagonal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """exp(-i T) for real symmetric tridiagonal 3 x 3 T, as (3, 3, *S) planes.
 
-    The diagonal gauge D with D[0] = 1 and D[j+1] = D[j] exp(-i arg K[j, j+1])
-    makes T = D* K D real symmetric, with off-diagonals |K[j, j+1]|, so
-    exp(-i K) = D exp(-i T) D*.
+    T is structure of arrays, diagonal a = (a0, a1, a2) and couplings b = (b0, b1)
+    of one shape S, scaled by a power of 2 so no square or cube overflows.  Its
+    extreme eigenvalue lam is the trigonometric root of the cubic, x a column of
+    adj(T - lam).  On a unit pair (u, w) normal to x, T is mid + [[d, k], [k, -d]];
+    as in _expm_2x2, s^2 = d^2 + k^2, n = d (u u^T - w w^T) + k (u w^T + w u^T) =
+    u p^T + w q^T and exp(-i T) = e^{-i lam} x x^T + e^{-i mid} [cos s (1 - x x^T)
+    - i (sin s / s) n], unitary however close the eigenvalues; sets the upper triangle.
     """
-    w, q = np.linalg.eigh(np.where(np.eye(k.shape[-1], dtype=bool), k.real, np.abs(k)))
-    arg = np.cumsum(np.angle(np.diagonal(k, 1, -2, -1)), axis=-1)
-    gauge = np.exp(-1j * np.concatenate((np.zeros(arg.shape[:-1] + (1,)), arg), axis=-1))
-    u = (q * np.exp(-1j * w)[..., None, :]) @ q.swapaxes(-1, -2)
-    return gauge[..., :, None] * u * gauge.conj()[..., None, :]
+    big = np.maximum(np.maximum(np.abs(a[0]), np.abs(a[1])),
+                     np.maximum(np.abs(a[2]), np.maximum(np.abs(b[0]), np.abs(b[1]))))
+    scale = np.ldexp(1.0, -np.minimum(np.frexp(big)[1], 1000))
+    a0, a1, a2, b0, b1 = (y * scale for y in (*a, *b))
+    m = (a0 + a1 + a2) / 3
+    c0, c1, c2, bb0, bb1 = a0 - m, a1 - m, a2 - m, b0 * b0, b1 * b1
+    rad = np.sqrt((c0 * c0 + c1 * c1 + c2 * c2) / 6 + (bb0 + bb1) / 3)
+    # det(T - m) / (2 rad^3) = cos(3 theta) puts lam at m + 2 rad cos(theta), 1.7 rad from the rest
+    r = (c0 * (c1 * c2 - bb1) - bb0 * c2) / np.maximum(2.0 * rad * rad * rad, 1e-300)
+    lam = m + np.copysign(2.0 * rad, r) * np.cos(np.arccos(np.minimum(np.abs(r), 1)) / 3)
+    # adj(T - lam) = c x x^T: its column of largest diagonal entry, unless T is lam I
+    e0, e1, e2 = a0 - lam, a1 - lam, a2 - lam
+    diag, b0e2, e0b1, b0b1 = (e1 * e2 - bb1, e0 * e2, e0 * e1 - bb0), b0 * e2, e0 * b1, b0 * b1
+    d0, d1, d2 = np.abs(diag)
+    x = np.where(d1 > np.maximum(d0, d2), [-b0e2, diag[1], -e0b1],
+                 np.where(d0 >= d2, [diag[0], -b0e2, b0b1], [b0b1, -e0b1, diag[2]]))
+    norm = np.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
+    x = list(x / np.where(norm < 1e-100, 1.0, norm))
+    x[0] = np.where(norm < 1e-100, 1.0, x[0])
+    # u normal to x and to the axis of the larger of |x0|, |x1|; w = x cross u
+    flip, zero = np.abs(x[0]) > np.abs(x[1]), np.zeros_like(lam)
+    u = np.where(flip, [-x[2], zero, x[0]], [zero, x[2], -x[1]])
+    u = list(u / np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2]))
+    w = [x[(i + 1) % 3] * u[(i + 2) % 3] - x[(i + 2) % 3] * u[(i + 1) % 3] for i in range(3)]
+    tu, tw = ([a0 * v[0] + b0 * v[1], b0 * v[0] + a1 * v[1] + b1 * v[2], b1 * v[1] + a2 * v[2]]
+              for v in (u, w))
+    uu, ww, k = (sum(vi * ti for vi, ti in zip(v, t)) for v, t in ((u, tu), (w, tw), (w, tu)))
+    mid, d = (uu + ww) / 2, (uu - ww) / 2
+    s = np.sqrt(d * d + k * k)
+    # cos and sin in T's units from tan of the half angle, which numpy vectorizes
+    t = np.tan(np.array([lam, mid, s]) / (2.0 * scale))
+    (cos_lam, cos_mid, cos_s), (sin_lam, sin_mid, sin_s) = 2 / (1 + t * t) - 1, 2 * t / (1 + t * t)
+    sinc = sin_s / np.where(s > 0, s, 1.0)   # over the scaled s, as n is scaled; n = 0 at s = 0
+    plane = (cos_mid - 1j * sin_mid) * cos_s
+    ex, en = cos_lam - 1j * sin_lam - plane, (-sin_mid - 1j * cos_mid) * sinc
+    p, q = [d * ui + k * wi for ui, wi in zip(u, w)], [k * ui - d * wi for ui, wi in zip(u, w)]
+    out = np.empty((3, 3) + lam.shape, dtype=complex)
+    for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)):
+        out[i, j] = ex * (x[i] * x[j]) + en * (u[i] * p[j] + w[i] * q[j]) + (plane if i == j else 0)
+    return out
+
+
+def _expm_chain(k: np.ndarray) -> np.ndarray:
+    """exp(-i K) for Hermitian tridiagonal K (..., 3, 3), as (3, 3, ...) planes: D exp(-i T) D*
+    for T = D* K D real, D = diag(1, e^{-i phi0}, e^{-i (phi0 + phi1)}), phi_j = arg K[j, j+1]."""
+    z = np.array([k[..., 0, 1], k[..., 1, 2]])
+    b = np.abs(z)
+    u = _expm_tridiagonal([k[..., i, i].real for i in range(3)], b)
+    ph = np.divide(z, b, out=np.ones(b.shape, dtype=complex), where=b > 0)
+    for (i, j), f in (((0, 1), ph[0]), ((1, 2), ph[1]), ((0, 2), ph[0] * ph[1])):
+        np.multiply(u[i, j], f.conj(), out=u[j, i])
+        u[i, j] *= f
+    return u
 
 
 def magnus_propagate(h0: np.ndarray, v: np.ndarray, omega: Callable,
@@ -219,17 +273,16 @@ def magnus_propagate(h0: np.ndarray, v: np.ndarray, omega: Callable,
     """States under H(t) = h0 + omega(t)*v on n_steps equal steps of the support.
 
     h0 is one real diagonal (d, d) Hamiltonian or a (B, d, d) stack of them,
-    each propagated from level 0; v is a Hermitian tridiagonal (d, d), and omega
-    maps an array of times to drive amplitudes.  On 2 levels the diagonal of
-    h0 may also carry a decay term -i gamma/2, so the norm is not kept; a
-    gain (positive imaginary part) is refused.  Each step is the 4th-order
-    Magnus exponential exp(-i K) (see _magnus_exponents), taken
-    MAGNUS_BLOCK_STEPS at a time: on 2 levels by _expm_2x2, on more by
-    _expm_tridiagonal, K then being Hermitian tridiagonal.  Returns the
-    n_steps + 1 grid times and states of shape (..., n_steps + 1, d).
+    each propagated from level 0; v is a Hermitian tridiagonal (d, d), d = 2
+    or 3, and omega maps an array of times to drive amplitudes.  On 2 levels
+    the diagonal of h0 may also carry a decay term -i gamma/2, so the norm is
+    not kept; a gain (positive imaginary part) is refused.  Each step is the
+    4th-order Magnus exponential exp(-i K) (see _magnus_exponents), taken
+    MAGNUS_BLOCK_STEPS at a time by _expm_2x2 or _expm_chain.  Blocks of steps
+    (see PRODUCT_ROWS) multiply as prefix products, one pass over the block
+    ends and one batched product.  Returns the grid and (..., n_steps + 1, d) states.
     """
-    h0 = np.asarray(h0, dtype=complex)
-    v = np.asarray(v, dtype=complex)
+    h0, v = np.asarray(h0, dtype=complex), np.asarray(v, dtype=complex)
     dim = v.shape[-1]
     if v.shape != (dim, dim) or h0.shape[-2:] != (dim, dim) or h0.ndim > 3:
         raise ValueError(f"h0 {h0.shape} and v {v.shape} are not (B,) d x d")
@@ -242,21 +295,28 @@ def magnus_propagate(h0: np.ndarray, v: np.ndarray, omega: Callable,
         raise ValueError("h0 not diagonal")
     if np.any(decay > 0.0):
         raise ValueError("h0 has gain: a positive imaginary part on its diagonal")
-    if np.any(np.triu(v, 2)):
-        raise ValueError("v not tridiagonal")
+    if np.any(np.triu(v, 2)) or dim not in (2, 3):
+        raise ValueError("v not tridiagonal on 2 or 3 levels")
     stack = h0.reshape(-1, dim, dim)
+    rows = len(stack)
     times, exponents = _magnus_exponents(stack, v, omega, support, n_steps)
-    expm = _expm_2x2 if dim == 2 else _expm_tridiagonal
-
-    states = np.zeros((n_steps + 1, len(stack), dim, 1), dtype=complex)
+    block = min(1 << max(0, (PRODUCT_ROWS // rows).bit_length() - 1), n_steps & -n_steps)
+    per_block = max(1, MAGNUS_BLOCK_STEPS // (rows * block)) * block
+    states = np.zeros((n_steps + 1, rows, dim, 1), dtype=complex)
     states[0, :, 0] = 1.0
-    per_block = max(1, MAGNUS_BLOCK_STEPS // len(stack))
     for s in range(0, n_steps, per_block):
-        u = expm(exponents(slice(s, s + per_block)))
-        for j, u_j in enumerate(u, start=s):
-            np.matmul(u_j, states[j], out=states[j + 1])
-    states = np.moveaxis(states[..., 0], 0, -2)
-    return times, states.reshape(h0.shape[:-2] + (n_steps + 1, dim))
+        steps = exponents(slice(s, s + per_block))
+        u = _expm_chain(steps) if dim == 3 else _expm_2x2(steps).transpose(2, 3, 0, 1)
+        # prefix[i, j, k, b, row]: step k of block b; no copy when block = 1
+        prefix = np.ascontiguousarray(u.reshape(dim, dim, -1, block, rows).swapaxes(2, 3))
+        for k in range(1, block):
+            prefix[:, :, k] = np.einsum("ijbr,jkbr->ikbr", prefix[:, :, k], prefix[:, :, k - 1])
+        mats, ends = prefix.transpose(3, 2, 4, 0, 1), states[s:s + u.shape[2] + 1:block]
+        for j, last in enumerate(mats[:, -1]):
+            np.matmul(last, ends[j], out=ends[j + 1])
+        inner = states[s + 1:s + u.shape[2] + 1].reshape(-1, block, rows, dim, 1)
+        np.matmul(mats[:, :-1], ends[:-1, None], out=inner[:, :-1])
+    return times, states[..., 0].transpose(1, 0, 2).reshape(h0.shape[:-2] + (n_steps + 1, dim))
 
 
 def _expm_2x2(k: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 
 # the config section and its caps, re-exported under their old path
 from .config import MAX_CYCLES, MAX_SHOTS, ReadoutConfig
+from .config import draw_geometric
 
 
 @dataclass
@@ -58,7 +59,7 @@ def simulate_readout(cfg: ReadoutConfig, seed) -> ReadoutReport:
     # with shelving off every shot runs the whole cycle budget
     shelve = None
     if cfg.p_forbidden > 0:
-        shelve = rng.geometric(cfg.p_forbidden, size=n)
+        shelve = draw_geometric(rng, cfg.p_forbidden, n)
         cycles = np.minimum(shelve - 1, cfg.n_cycles)
     else:
         cycles = np.full(n, cfg.n_cycles)

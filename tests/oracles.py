@@ -4,7 +4,9 @@ Everything here is derived by a different route than the library code:
 adiabatic quadratures via direct numerical integration of dressed-state
 eigenvalues, gate phases via adaptive RK45 on Hamiltonians written out
 here (the library propagates with fixed-step Magnus) and read off a
-trajectory by summing principal-value increments, the spontaneous-emission
+trajectory by summing principal-value increments, Magnus steps
+exponentiated by eigh and multiplied one at a time (the library's kernel
+before its closed form and blocked product), the spontaneous-emission
 error via RK45 on the Lindblad master equation with a sink level (the library
 takes the norm lost under the no-jump generator), the swap channel via a
 brute-force 4-qubit density matrix,
@@ -148,6 +150,48 @@ def accumulated_phase(traj, index: int) -> float:
     if worst > _MAX_PHASE_STEP:
         raise RuntimeError(f"phase step of {worst:.3f} rad too coarse to unwrap")
     return float(np.sum(steps))
+
+
+# ---- Magnus steps by eigendecomposition, multiplied one at a time --------
+
+def expm_eigh(k: np.ndarray) -> np.ndarray:
+    """exp(-i K) for a stack of Hermitian tridiagonal matrices K, by a real eigh.
+
+    The diagonal gauge D with D[0] = 1 and D[j+1] = D[j] exp(-i arg K[j, j+1])
+    makes T = D* K D real symmetric, with off-diagonals |K[j, j+1]|, so
+    exp(-i K) = D exp(-i T) D*.  This was the library's 3-level step
+    exponential before its closed form.
+    """
+    w, q = np.linalg.eigh(np.where(np.eye(k.shape[-1], dtype=bool), k.real, np.abs(k)))
+    arg = np.cumsum(np.angle(np.diagonal(k, 1, -2, -1)), axis=-1)
+    gauge = np.exp(-1j * np.concatenate((np.zeros(arg.shape[:-1] + (1,)), arg), axis=-1))
+    u = (q * np.exp(-1j * w)[..., None, :]) @ q.swapaxes(-1, -2)
+    return gauge[..., :, None] * u * gauge.conj()[..., None, :]
+
+
+def magnus_states_loop(h0, v, omega, support, n_steps: int) -> np.ndarray:
+    """States under h0 + omega(t) v from level 0, one step at a time.
+
+    Takes the library's Magnus step exponents, exponentiates them by
+    expm_eigh (by scipy's expm where h0 carries a decay term) and
+    multiplies them in order, one np.matmul per step: the library's
+    propagator before its blocked product.  Returns (..., n_steps + 1, d)
+    states, as qcore.magnus_propagate does.
+    """
+    from scipy.linalg import expm
+
+    from dotlink.qcore import _magnus_exponents
+
+    h0, v = np.asarray(h0, dtype=complex), np.asarray(v, dtype=complex)
+    dim = v.shape[-1]
+    stack = h0.reshape(-1, dim, dim)
+    k = _magnus_exponents(stack, v, omega, support, n_steps)[1](slice(None))
+    u = expm_eigh(k) if np.array_equal(k, k.conj().swapaxes(-1, -2)) else expm(-1j * k)
+    states = np.zeros((n_steps + 1, len(stack), dim, 1), dtype=complex)
+    states[0, :, 0] = 1.0
+    for j, u_j in enumerate(u):
+        np.matmul(u_j, states[j], out=states[j + 1])
+    return np.moveaxis(states[..., 0], 0, -2).reshape(h0.shape[:-2] + (n_steps + 1, dim))
 
 
 # ---- brute-force entanglement swap ----------------------------------------

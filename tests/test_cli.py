@@ -324,6 +324,17 @@ def test_sweep_conditional_phase(tmp_path):
     assert rows[4][1:] == rows[3][1:]
 
 
+def test_sweep_values_may_start_negative(tmp_path, capsys):
+    # a list led by a negative number is a value, not an unknown option
+    assert run(tmp_path, "sweep", "--param", "gate.e_dd_mev", "--values", "-1,5") == 0
+    rows = read_rows(tmp_path, "sweep.csv")
+    assert [r[0] for r in rows[1:]] == ["-1", "5"]
+    capsys.readouterr()
+    for values in ([], ["--seed", "3"]):
+        assert run(tmp_path, "sweep", "--param", "gate.e_dd_mev", "--values", *values) == 1
+        assert "expected one argument" in capsys.readouterr().err
+
+
 def test_sweep_bad_arguments(tmp_path, capsys):
     assert run(tmp_path, "sweep", "--param", "dot.e_t_mev",
                "--values", "1,2") == 1
@@ -558,6 +569,18 @@ def test_out_path_is_a_file(tmp_path, capsys):
     taken.write_text("")
     assert main(["tune", "--out", str(taken)]) == 1
     assert capsys.readouterr().err.startswith("output error")
+
+
+@pytest.mark.parametrize("module", ["dotlink.cli", "dotlink.gatesim"])
+def test_light_imports_stay_light(module):
+    # the CLI's import and a gate op's import load no hashlib (the config
+    # hash imports it when called), no csv and no scipy
+    code = (f"import sys, {module}\n"
+            "print(sorted(m for m in ('hashlib', 'csv', 'scipy') if m in sys.modules))\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split() == ["[]"]
 
 
 # LIGHT is what `import dotlink.cli` loads; each run adds the modules it uses

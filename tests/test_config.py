@@ -17,6 +17,7 @@ from dotlink.config import (
     apply_override,
     config_from_dict,
     derive_rng,
+    draw_geometric,
     load_config,
 )
 
@@ -159,6 +160,18 @@ def test_derive_rng_streams():
                   derive_rng(54321, "readout"),
                   derive_rng(12345, "readout", index=1)):
         assert not np.array_equal(other.integers(0, 1 << 30, 8), base)
+
+
+@pytest.mark.parametrize("p", [1e-20, 9.488e-4, 0.04419, math.nextafter(1 / 3, 0), 1 / 3, 0.5,
+                               1.0])
+def test_draw_geometric_equals_numpy(p):
+    # numpy's inversion below 1/3, whose draws clip at INT64_MAX (every one
+    # at p = 1e-20), the last p before its switch, and its search from 1/3
+    # on: the same draws, dtype and stream position
+    ours, numpy = np.random.default_rng(3), np.random.default_rng(3)
+    draws, expected = draw_geometric(ours, p, 20_000), numpy.geometric(p, size=20_000)
+    assert draws.dtype == expected.dtype and np.array_equal(draws, expected)
+    assert ours.random() == numpy.random()
 
 
 SECTION_KEYS = {name: [f.name for f in dataclasses.fields(section)] + ["bogus"]

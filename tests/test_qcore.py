@@ -17,6 +17,7 @@ from dotlink import (
     pure_density,
 )
 from dotlink.units import HBAR_MEV_PS
+import oracles
 from oracles import accumulated_phase, single_dot_quadrature
 
 
@@ -53,6 +54,11 @@ def full_pair_hamiltonian(delta, e_dd_mev):
     v = np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]]) / 2.0
     n = 3 if math.isinf(e_dd_mev) else 4
     return h0[:n, :n], v[:n, :n], np.array([0, 1, 1, 2])[:n]
+
+
+def expm_chain(k):
+    # the 3-level step exponentials, from their (3, 3, n) planes to an (n, 3, 3) stack
+    return np.moveaxis(qcore._expm_chain(k), (0, 1), (-2, -1))
 
 
 def magnus_states(drive, h0, v, n_steps):
@@ -140,11 +146,11 @@ def test_gauge_exponential_matches_complex_eigh():
     # random Hermitian tridiagonal stacks, some couplings zero and some
     # diagonals degenerate, the step exponents of an undriven pair and of
     # one whose S and TT are level at the pulse wings (shift = delta), and
-    # those of the single dot; the 2-level stacks also go through the
-    # closed form that magnus_propagate takes on 2 levels
+    # those of the single dot; each through the step exponential that
+    # magnus_propagate takes on its number of levels
     rng = np.random.default_rng(7)
     stacks = []
-    for dim in (2, 3, 4):
+    for dim in (2, 3):
         k = np.zeros((64, dim, dim), dtype=complex)
         off = rng.normal(size=(64, dim - 1)) + 1j * rng.normal(size=(64, dim - 1))
         off[::3, 0] = 0.0
@@ -169,9 +175,65 @@ def test_gauge_exponential_matches_complex_eigh():
     for k in stacks:
         w, q = np.linalg.eigh(k)
         ref = (q * np.exp(-1j * w)[..., None, :]) @ q.conj().swapaxes(-1, -2)
-        assert np.max(np.abs(qcore._expm_tridiagonal(k) - ref)) <= 1e-13
-        if k.shape[-1] == 2:
-            assert np.max(np.abs(qcore._expm_2x2(k) - ref)) <= 1e-13
+        expm = qcore._expm_2x2 if k.shape[-1] == 2 else expm_chain
+        assert np.max(np.abs(expm(k) - ref)) <= 1e-13
+
+
+def _chain_stack(diag, off):
+    """Hermitian tridiagonal 3 x 3 stack from (n, 3) diagonals and (n, 2) couplings."""
+    k = np.zeros((len(diag), 3, 3), dtype=complex)
+    k[:, [0, 1, 2], [0, 1, 2]] = diag
+    k[:, [0, 1], [1, 2]] = off
+    k[:, [1, 2], [0, 1]] = np.conj(off)
+    return k
+
+
+def test_closed_form_exponential_matches_eigh_oracle():
+    # the closed form against the eigh route it replaced, to a few ulps of
+    # each stack's largest entry: graded pair steps whose TT sits 1e3 to 1e8
+    # meV up, every pattern of degenerate diagonals and zero couplings, and
+    # tiny couplings beside a gap; and, unitary and free of warnings, entries
+    # past 1e150, whose squares overflow unless the kernel scales them
+    delta, drive = 0.75, PulsedDrive()
+    stacks = []
+    for e_dd in (1e3, 1e5, 1e8):
+        h0, v = pair_hamiltonian(delta, e_dd)
+        _, exponents = qcore._magnus_exponents(h0[None].astype(complex), v.astype(complex),
+                                               drive.omega, drive.support(), 400)
+        stacks.append(exponents(slice(None))[:, 0])
+    rng = np.random.default_rng(5)
+    diag = rng.normal(size=(96, 3))
+    for rows, pattern in ((slice(0, 16), [0, 0, 0]), (slice(16, 32), [0, 0, 1]),
+                          (slice(32, 48), [0, 1, 1]), (slice(48, 64), [0, 1, 0])):
+        diag[rows] = diag[rows][:, pattern]
+    off = rng.normal(size=(96, 2)) + 1j * rng.normal(size=(96, 2))
+    off[::2, 0] = 0.0
+    off[::3, 1] = 0.0
+    off[64:80] *= 1e-9
+    stacks.append(_chain_stack(diag, off))
+    for k in stacks:
+        bound = 1e-14 + 8 * np.finfo(float).eps * np.max(np.abs(k))
+        assert np.max(np.abs(expm_chain(k) - oracles.expm_eigh(k))) <= bound
+    u = expm_chain(_chain_stack(diag * 1e200, off * 1e200))
+    assert np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(3))) <= 1e-13
+
+
+@pytest.mark.parametrize("rows", [1, 2, 32])
+@pytest.mark.parametrize("n_steps", [400, 333])
+def test_blocked_product_matches_step_loop(rows, n_steps):
+    # the blocked product and closed forms against eigh and one matmul per
+    # step: pair chains at rows of e_dd, and decaying single dots, over a
+    # step count that blocks of 16 divide and an odd one, which no block
+    # divides, so it multiplies step by step
+    drive = PulsedDrive()
+    v = pair_hamiltonian(drive.delta, 0.0)[1]
+    pairs = np.stack([pair_hamiltonian(drive.delta, e)[0] for e in np.linspace(0.3, 5.0, rows)])
+    decaying = np.stack([np.diag([0.0, -drive.delta - 0.5j * g])
+                         for g in np.geomspace(1e-3, 10.0, rows)])
+    for h0, vv in ((pairs, v), (decaying, v[:2, :2])):
+        states = magnus_states(drive, h0, vv, n_steps)[1]
+        loop = oracles.magnus_states_loop(h0, vv, drive.omega, drive.support(), n_steps)
+        assert np.max(np.abs(states - loop)) <= 1e-13
 
 
 def test_state_validation():
@@ -210,6 +272,8 @@ def test_state_validation():
         (mixed(basis_state(2, 0)), "initial state shape"),
         (mixed(pure_density(basis_state(3, 0))), "initial state shape"),
         (magnus(n_steps=0), "at least one step"),
+        (lambda: qcore.magnus_propagate(np.eye(4), np.eye(4, k=1) + np.eye(4, k=-1),
+                                        PulsedDrive().omega, (-1.0, 1.0), 10), "on 2 or 3 levels"),
         (decaying(3, 0.1), "h0 not hermitian"),
         (decaying(2, -0.1), "h0 has gain"),
     ]
@@ -323,8 +387,9 @@ def test_magnus_blocks_do_not_change_results(monkeypatch):
     single = pair_hamiltonian(drive.delta, 0.0)[0][:2, :2] - 0.05j * np.diag([0.0, 1.0])
     inputs = [(h0, v), (single, v[:2, :2])]
     whole = [magnus_states(drive, *args, 400)[1] for args in inputs]
-    # two step matrices per block: one step per block for the 3-row stack,
-    # whose rows are always propagated together, and two for the single dot
+    # two step matrices per chunk: each chunk is then one product block, 4
+    # steps for the 3-row stack, whose rows always propagate together, and
+    # 16 for the single dot
     monkeypatch.setattr(qcore, "MAGNUS_BLOCK_STEPS", 2)
     for args, states in zip(inputs, whole):
         assert np.array_equal(magnus_states(drive, *args, 400)[1], states)
